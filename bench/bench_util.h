@@ -1,7 +1,7 @@
 #pragma once
 /// \file bench_util.h
 /// \brief Shared plumbing for the experiment benches: Monte-Carlo budgets
-///        (scaled down when UWB_BENCH_FAST is set), link-BER helpers, and
+///        (scaled down when UWB_BENCH_FAST is set), metric helpers, and
 ///        uniform headers so EXPERIMENTS.md can quote outputs verbatim.
 
 #include <algorithm>
@@ -11,7 +11,6 @@
 
 #include "sim/ber_simulator.h"
 #include "sim/table.h"
-#include "txrx/link.h"
 
 namespace uwb::bench {
 
@@ -32,21 +31,6 @@ inline sim::BerStop stop_rule(std::size_t min_errors = 40, std::size_t max_bits 
   stop.max_bits = max_bits;
   stop.max_trials = 100000;
   return fast_mode() ? sim::scale_stop(stop, 4, 8) : sim::scale_stop(stop, 1, 1);
-}
-
-/// Measures one BER point of any link (gen-1 or gen-2) on the link's own
-/// RNG -- the sequential helper for benches not yet on the sweep engine.
-inline sim::BerPoint link_ber(txrx::Link& link, const txrx::TrialOptions& options,
-                              const sim::BerStop& stop) {
-  return sim::measure_ber(
-      [&]() {
-        const txrx::TrialResult trial = link.run_packet(options);
-        sim::TrialOutcome out;
-        out.bits = trial.bits;
-        out.errors = trial.errors;
-        return out;
-      },
-      stop);
 }
 
 /// Mean of a recorded metric on a sweep point, or \p fallback when the

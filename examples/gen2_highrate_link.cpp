@@ -5,6 +5,8 @@
 
 #include <cstdio>
 
+#include "engine/parallel_ber.h"
+#include "engine/thread_pool.h"
 #include "pulse/band_plan.h"
 #include "sim/ber_simulator.h"
 #include "sim/scenario.h"
@@ -16,12 +18,16 @@ uwb::sim::BerPoint measure(uwb::txrx::Gen2Link& link, const uwb::txrx::TrialOpti
   uwb::sim::BerStop stop;
   stop.min_errors = 20;
   stop.max_bits = 40000;
-  return uwb::sim::measure_ber(
-      [&]() {
-        const auto trial = link.run_packet(options);
-        return uwb::sim::TrialOutcome{trial.bits, trial.errors, {}};
-      },
-      stop);
+  // The link owns its randomness: one worker, index and per-trial Rng
+  // unused.
+  uwb::engine::ThreadPool pool(1);
+  const uwb::engine::TrialFactory trials = [&] {
+    return [&](std::size_t, uwb::Rng&) {
+      const auto trial = link.run_packet(options);
+      return uwb::sim::TrialOutcome{trial.bits, trial.errors, {}};
+    };
+  };
+  return uwb::engine::measure_point(trials, stop, uwb::Rng(0), pool).ber;
 }
 
 }  // namespace

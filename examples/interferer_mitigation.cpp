@@ -7,6 +7,8 @@
 
 #include <cstdio>
 
+#include "engine/parallel_ber.h"
+#include "engine/thread_pool.h"
 #include "sim/ber_simulator.h"
 #include "sim/scenario.h"
 #include "txrx/link.h"
@@ -17,12 +19,16 @@ uwb::sim::BerPoint measure(uwb::txrx::Gen2Link& link, const uwb::txrx::TrialOpti
   uwb::sim::BerStop stop;
   stop.min_errors = 25;
   stop.max_bits = 50000;
-  return uwb::sim::measure_ber(
-      [&]() {
-        const auto trial = link.run_packet(options);
-        return uwb::sim::TrialOutcome{trial.bits, trial.errors, {}};
-      },
-      stop);
+  // The link owns its randomness: one worker, index and per-trial Rng
+  // unused.
+  uwb::engine::ThreadPool pool(1);
+  const uwb::engine::TrialFactory trials = [&] {
+    return [&](std::size_t, uwb::Rng&) {
+      const auto trial = link.run_packet(options);
+      return uwb::sim::TrialOutcome{trial.bits, trial.errors, {}};
+    };
+  };
+  return uwb::engine::measure_point(trials, stop, uwb::Rng(0), pool).ber;
 }
 
 }  // namespace

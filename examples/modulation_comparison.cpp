@@ -7,6 +7,8 @@
 #include <cstdio>
 
 #include "common/math_utils.h"
+#include "engine/parallel_ber.h"
+#include "engine/thread_pool.h"
 #include "sim/ber_simulator.h"
 #include "sim/scenario.h"
 #include "sim/table.h"
@@ -45,12 +47,16 @@ int main() {
     sim::BerStop stop;
     stop.min_errors = 40;
     stop.max_bits = 150000;
-    const sim::BerPoint point = sim::measure_ber(
-        [&]() {
-          const auto trial = link.run_packet(options);
-          return sim::TrialOutcome{trial.bits, trial.errors, {}};
-        },
-        stop);
+    // The link owns its randomness: one worker, index and per-trial Rng
+    // unused.
+    engine::ThreadPool pool(1);
+    const engine::TrialFactory trials = [&] {
+      return [&](std::size_t, Rng&) {
+        const auto trial = link.run_packet(options);
+        return sim::TrialOutcome{trial.bits, trial.errors, {}};
+      };
+    };
+    const sim::BerPoint point = engine::measure_point(trials, stop, Rng(0), pool).ber;
 
     const auto mod = phy::make_modulator(row.scheme, config.prf_hz);
     table.add_row({to_string(row.scheme), sim::Table::integer(mod->bits_per_symbol()),

@@ -34,37 +34,9 @@ const char* stop_reason(const MetricAccumulator& acc, const sim::BerStop& stop,
 
 }  // namespace
 
-sim::MeasuredPoint measure_point_serial(const TrialFn& trial, const sim::BerStop& stop,
-                                        const Rng& root, stats::CiMethod ci_method) {
-  // One worker, ordered commits: exactly the sequential loop's semantics,
-  // produced by the one trial engine in the tree.
-  ThreadPool pool(1);
-  return measure_point_parallel([&trial]() -> TrialFn { return trial; }, stop, root, pool,
-                                {}, ci_method);
-}
-
-sim::MeasuredPoint measure_point_parallel(const TrialFactory& factory,
-                                          const sim::BerStop& stop, const Rng& root,
-                                          ThreadPool& pool, const PointHooks& hooks,
-                                          stats::CiMethod ci_method) {
-  return measure_point_batched(
-      [&factory]() -> BatchFn {
-        return [trial = factory()](std::size_t first, std::size_t count, const Rng& root,
-                                   sim::TrialOutcome* out) {
-          for (std::size_t k = 0; k < count; ++k) {
-            Rng trial_rng = root.fork(first + k);
-            out[k] = trial(first + k, trial_rng);
-          }
-        };
-      },
-      1, stop, root, pool, hooks, ci_method);
-}
-
-sim::MeasuredPoint measure_point_batched(const BatchFactory& factory,
-                                         std::size_t batch_size, const sim::BerStop& stop,
-                                         const Rng& root, ThreadPool& pool,
-                                         const PointHooks& hooks,
-                                         stats::CiMethod ci_method) {
+sim::MeasuredPoint measure_point(const TrialFactory& factory, const sim::BerStop& stop,
+                                 const Rng& root, ThreadPool& pool, const PointHooks& hooks,
+                                 stats::CiMethod ci_method) {
   // Shared ordered-commit state. Workers race ahead claiming trial indices
   // but outcomes only count once every lower-indexed trial has counted and
   // the stopping rule was still live -- the sequential semantics exactly.
@@ -85,21 +57,17 @@ sim::MeasuredPoint measure_point_batched(const BatchFactory& factory,
   if (!shared.acc.keep_going(0)) return shared.acc.finish(0);
 
   const std::size_t num_workers = std::max<std::size_t>(1, pool.size());
-  const std::size_t batch = std::max<std::size_t>(1, batch_size);
   // How far past the commit frontier workers may speculate. Large enough to
-  // keep every worker busy (whole batches included), small enough to bound
-  // discarded work and memory.
-  const std::size_t window_cap =
-      std::max<std::size_t>({64, 8 * num_workers, 2 * batch * num_workers});
+  // keep every worker busy, small enough to bound discarded work and memory.
+  const std::size_t window_cap = std::max<std::size_t>(64, 8 * num_workers);
 
   shared.active_workers = num_workers;
   for (std::size_t w = 0; w < num_workers; ++w) {
-    pool.submit([&factory, &stop, &root, &shared, window_cap, batch, hooks] {
+    pool.submit([&factory, &stop, &root, &shared, window_cap, hooks] {
       // Stage profiling covers the whole task -- factory setup included --
       // via the thread-local activation (see obs/profile.h).
       const obs::ScopedStageProfile profile_scope(hooks.profile);
-      const BatchFn run_batch = factory();
-      std::vector<sim::TrialOutcome> outs;
+      const TrialFn trial = factory();
       // Trace chunking: consecutive executed trials fold into one span
       // (see kTraceChunkTrials). Telemetry only -- never touches Rng or
       // commit state, so results are identical with hooks on or off.
@@ -121,8 +89,7 @@ sim::MeasuredPoint measure_point_batched(const BatchFactory& factory,
       };
 
       for (;;) {
-        std::size_t first;
-        std::size_t count;
+        std::size_t index;
         {
           std::unique_lock<std::mutex> lock(shared.mutex);
           if (hooks.cancelled() && !shared.stopped) {
@@ -134,47 +101,34 @@ sim::MeasuredPoint measure_point_batched(const BatchFactory& factory,
             shared.window_open.notify_all();
           }
           if (shared.stopped || shared.next_claim >= stop.max_trials) break;
-          first = shared.next_claim;
-          count = std::min(batch, stop.max_trials - first);
-          shared.next_claim += count;
-          // Speculation bound: wait until the claim starts near the
-          // frontier (a batch may extend past the cap by at most one
-          // batch length; the cap accounts for that).
+          index = shared.next_claim++;
+          // Speculation bound: wait until the claim is near the frontier.
           shared.window_open.wait(lock, [&] {
-            return shared.stopped || first < shared.committed + window_cap;
+            return shared.stopped || index < shared.committed + window_cap;
           });
           if (shared.stopped) break;
         }
 
         if (hooks.trace != nullptr && chunk_count == 0) {
           chunk_start_us = hooks.trace->now_us();
-          chunk_first = first;
+          chunk_first = index;
         }
 
-        outs.resize(count);
-        run_batch(first, count, root, outs.data());
+        Rng trial_rng = root.fork(index);
+        sim::TrialOutcome out = trial(index, trial_rng);
 
-        chunk_count += count;
-        if (chunk_count >= kTraceChunkTrials) flush_chunk();
+        if (++chunk_count >= kTraceChunkTrials) flush_chunk();
         if (hooks.progress != nullptr) {
-          std::size_t batch_bits = 0;
-          std::size_t batch_errors = 0;
-          for (const sim::TrialOutcome& out : outs) {
-            batch_bits += out.bits;
-            batch_errors += out.errors;
-          }
-          hooks.progress->add_trials(count);
-          hooks.progress->add_bits(batch_bits);
-          hooks.progress->add_errors(batch_errors);
+          hooks.progress->add_trials(1);
+          hooks.progress->add_bits(out.bits);
+          hooks.progress->add_errors(out.errors);
         }
 
         std::lock_guard<std::mutex> lock(shared.mutex);
         if (shared.stopped) break;
-        const std::size_t base = first - shared.committed;
-        if (shared.window.size() < base + count) shared.window.resize(base + count);
-        for (std::size_t k = 0; k < count; ++k) {
-          shared.window[base + k] = std::move(outs[k]);
-        }
+        const std::size_t slot = index - shared.committed;
+        if (shared.window.size() <= slot) shared.window.resize(slot + 1);
+        shared.window[slot] = std::move(out);
         // Advance the frontier: commit in index order under the rule.
         while (!shared.window.empty() && shared.window.front().has_value()) {
           if (!shared.acc.keep_going(shared.committed)) break;
@@ -216,16 +170,6 @@ sim::MeasuredPoint measure_point_batched(const BatchFactory& factory,
     shared.window.pop_front();
   }
   return shared.acc.finish(shared.committed);
-}
-
-sim::BerPoint measure_ber_serial(const TrialFn& trial, const sim::BerStop& stop,
-                                 const Rng& root) {
-  return measure_point_serial(trial, stop, root).ber;
-}
-
-sim::BerPoint measure_ber_parallel(const TrialFactory& factory, const sim::BerStop& stop,
-                                   const Rng& root, ThreadPool& pool) {
-  return measure_point_parallel(factory, stop, root, pool).ber;
 }
 
 }  // namespace uwb::engine

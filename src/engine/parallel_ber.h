@@ -1,16 +1,16 @@
 #pragma once
 /// \file parallel_ber.h
-/// \brief Deterministic parallel Monte-Carlo point measurement.
+/// \brief Deterministic parallel Monte-Carlo point measurement: the one
+///        trial loop in the tree.
 ///
-/// The sequential loop in sim::measure_ber runs trials one after another and
-/// stops on an error/bit/trial budget. This module parallelizes that loop
-/// WITHOUT changing its answer: trial i draws every random number from
-/// `root.fork(i)`, workers execute trials speculatively, and outcomes are
-/// committed strictly in trial-index order under the sequential stopping
-/// rule. The set of counted trials is therefore exactly the prefix the
-/// sequential loop would have counted, so the resulting MeasuredPoint --
-/// BER counters and every named-metric reduction -- is byte-identical for
-/// any worker count or scheduling order (see engine/metric_accumulator.h).
+/// Trial i draws every random number from `root.fork(i)`, workers execute
+/// trials speculatively, and outcomes are committed strictly in trial-index
+/// order under the stopping rule. The set of counted trials is therefore
+/// exactly the prefix a sequential loop would have counted, so the
+/// resulting MeasuredPoint -- BER counters and every named-metric
+/// reduction -- is byte-identical for any worker count or scheduling order
+/// (see engine/metric_accumulator.h). On a one-worker pool this IS the
+/// sequential loop.
 
 #include <atomic>
 #include <functional>
@@ -37,37 +37,12 @@ using TrialFn = std::function<sim::TrialOutcome(std::size_t index, Rng& rng)>;
 
 /// Called once per worker to build worker-local state and return the trial
 /// closure. The factory MUST produce closures whose outcome depends only on
-/// the per-trial Rng -- never on which worker runs the trial or in what
-/// order (that is what makes the parallel result deterministic).
+/// the trial index and per-trial Rng -- never on which worker runs the
+/// trial or in what order (that is what makes the parallel result
+/// deterministic). A closure that owns its own randomness instead (e.g. a
+/// link driven from its internal Rng) is deterministic on a one-worker
+/// pool only.
 using TrialFactory = std::function<TrialFn()>;
-
-/// Batched execution: one call runs the contiguous trials
-/// [first, first+count) and writes trial first+k's outcome to out[k]. Each
-/// trial must still be a pure function of root.fork(index) -- batching only
-/// lets a worker share per-batch state across its claim (e.g. the grouped
-/// channel-realization pass in txrx::PacketBatch). The engine commits the
-/// outcomes one trial at a time in global index order, so the measured
-/// point is byte-identical for any batch size.
-using BatchFn = std::function<void(std::size_t first, std::size_t count, const Rng& root,
-                                   sim::TrialOutcome* out)>;
-
-/// Per-worker factory for BatchFn, same contract as TrialFactory.
-using BatchFactory = std::function<BatchFn()>;
-
-/// Sequential semantics: trial i runs with root.fork(i); stops once the
-/// error budget (bit errors, or failed trials of stop.metric when set),
-/// max_bits bits, or max_trials trials are reached (max_trials is a hard
-/// stop even when no errors accumulate). \p ci_method selects the two-sided
-/// interval the finished point reports (weighted points always report the
-/// normal interval regardless).
-///
-/// This is a thin adapter over measure_point_parallel on a single-worker
-/// pool -- the ordered-commit engine is the only trial loop in the tree, and
-/// its single-worker execution IS the sequential semantics (committed
-/// prefix, stopping rule, result bytes).
-sim::MeasuredPoint measure_point_serial(
-    const TrialFn& trial, const sim::BerStop& stop, const Rng& root,
-    stats::CiMethod ci_method = stats::CiMethod::kClopperPearson);
 
 /// Optional telemetry hooks for one point measurement. Both observers may
 /// be null; neither can change the measured result (they never touch Rng
@@ -97,33 +72,18 @@ struct PointHooks {
   }
 };
 
-/// Parallel version of measure_point_serial with identical results:
-/// workers claim trial indices, run them speculatively within a bounded
-/// window ahead of the commit frontier, and commit in index order.
-/// Outcomes past the stopping point are discarded, exactly as if they had
-/// never run. (Adapter over measure_point_batched at batch size 1.)
-sim::MeasuredPoint measure_point_parallel(
+/// Measures one point: trial i runs with root.fork(i) and the point stops
+/// once the error budget (bit errors, or failed trials of stop.metric when
+/// set), max_bits bits, or max_trials trials are reached (max_trials is a
+/// hard stop even when no errors accumulate). Workers claim trial indices,
+/// run them within a bounded speculation window ahead of the commit
+/// frontier, and commit in index order; outcomes past the stopping point
+/// are discarded, exactly as if they had never run. \p ci_method selects
+/// the two-sided interval the finished point reports (weighted points
+/// always report the normal interval regardless).
+sim::MeasuredPoint measure_point(
     const TrialFactory& factory, const sim::BerStop& stop, const Rng& root,
     ThreadPool& pool, const PointHooks& hooks = {},
     stats::CiMethod ci_method = stats::CiMethod::kClopperPearson);
-
-/// The ordered-commit core with batched claims: workers claim contiguous
-/// ranges of \p batch_size trial indices (clamped at the trial cap) and run
-/// each range through one BatchFn call, still bounded by the speculation
-/// window and still committing per trial in global index order. The set of
-/// committed trials is therefore exactly the sequential loop's prefix, and
-/// the measured point -- counters, metric reductions, result-document bytes
-/// -- is identical for ANY (batch_size, worker count) combination (tested
-/// at B in {1,4,16} x workers in {1,8}).
-sim::MeasuredPoint measure_point_batched(
-    const BatchFactory& factory, std::size_t batch_size, const sim::BerStop& stop,
-    const Rng& root, ThreadPool& pool, const PointHooks& hooks = {},
-    stats::CiMethod ci_method = stats::CiMethod::kClopperPearson);
-
-/// BER-only convenience wrappers (drop the metric reductions).
-sim::BerPoint measure_ber_serial(const TrialFn& trial, const sim::BerStop& stop,
-                                 const Rng& root);
-sim::BerPoint measure_ber_parallel(const TrialFactory& factory, const sim::BerStop& stop,
-                                   const Rng& root, ThreadPool& pool);
 
 }  // namespace uwb::engine

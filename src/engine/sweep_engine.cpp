@@ -6,13 +6,13 @@
 #include <memory>
 
 #include "common/error.h"
-#include "stats/adaptive.h"
 #include "dsp/fft.h"
 #include "obs/profile.h"
 #include "obs/progress.h"
 #include "obs/trace.h"
+#include "stats/adaptive.h"
+#include "stats/sampling.h"
 #include "txrx/link.h"
-#include "txrx/packet_batch.h"
 
 namespace uwb::engine {
 
@@ -22,31 +22,109 @@ namespace {
 constexpr uint64_t kTrialStreamSalt = 0;
 constexpr uint64_t kLinkSeedSalt = 1;
 
-/// Worker-local trial state for one grid point: the factory hands every
-/// worker its own link (links are not safe for concurrent trials) wrapped
-/// in a txrx::PacketBatch, all built from the same seed so the simulated
-/// hardware is identical. For ensemble-mode points the shared realizations
-/// ride along and trial i resolves to realization i % count -- index-keyed,
-/// so any worker gets the same channel for the same trial, and the batch
-/// executor groups same-realization trials to reuse per-realization link
-/// state. The per-trial outcome conversion (sampling context, metric
-/// filtering) lives in PacketBatch::run_one.
-BatchFactory make_batch_factory(const PointSpec& spec, uint64_t link_seed,
-                                std::shared_ptr<const ChannelEnsemble> ensemble) {
-  return [&spec, link_seed, ensemble]() -> BatchFn {
-    std::shared_ptr<txrx::Link> link = txrx::make_link(spec.link, link_seed);
-    txrx::ChannelResolver resolver;
-    if (ensemble != nullptr) {
-      resolver = [ensemble](std::size_t index) -> const channel::Cir* {
-        return &ensemble->realization_for_trial(index);
-      };
+/// One trial of a sweep point on a worker's private link. Everything the
+/// trial needs beyond its own Rng is resolved from the index alone -- the
+/// ensemble realization (`index % count`) and the sampling bias -- so any
+/// worker produces the same outcome for the same trial.
+sim::TrialOutcome run_trial(txrx::Link& link, const txrx::TrialOptions& options,
+                            const ChannelEnsemble* ensemble, std::size_t index, Rng& rng) {
+  txrx::TrialContext context;
+  if (ensemble != nullptr) context.channel = &ensemble->realization_for_trial(index);
+  const stats::SamplingPolicy& sampling = options.sampling;
+  if (sampling.active()) {
+    context.noise_scale = stats::trial_noise_scale(sampling, index);
+    context.sampling_trial = index;
+    context.sampling_resolved = true;
+  }
+  txrx::TrialResult trial = link.run_packet(options, rng, context);
+
+  sim::TrialOutcome out;
+  out.bits = trial.bits;
+  out.errors = trial.errors;
+  // The importance weight bypasses the record_metrics filter: it is
+  // estimator state, not an optional observable.
+  if (const std::optional<double> llr = trial.metric(txrx::metric_names::kIsLlr)) {
+    out.log_weight = *llr;
+    out.weighted = true;
+  }
+  // record_metrics filters AND orders the recorded reductions; empty means
+  // record everything the trial emitted, in emission order.
+  const std::vector<std::string>& wanted = options.record_metrics;
+  if (wanted.empty()) {
+    out.metrics = std::move(trial.metrics);
+  } else {
+    out.metrics.reserve(wanted.size());
+    for (const std::string& name : wanted) {
+      if (const std::optional<double> value = trial.metric(name)) {
+        out.metrics.emplace_back(name, *value);
+      }
     }
-    auto executor = std::make_shared<txrx::PacketBatch>(std::move(link),
-                                                        spec.link.options,
-                                                        std::move(resolver));
-    return [executor](std::size_t first, std::size_t count, const Rng& root,
-                      sim::TrialOutcome* out) { executor->run(first, count, root, out); };
+  }
+  return out;
+}
+
+/// Every worker gets its own link (links are not safe for concurrent
+/// trials), all built from the same seed so the simulated hardware is
+/// identical.
+TrialFactory make_trial_factory(const PointSpec& spec, uint64_t link_seed,
+                                std::shared_ptr<const ChannelEnsemble> ensemble) {
+  return [&spec, link_seed, ensemble]() -> TrialFn {
+    std::shared_ptr<txrx::Link> link = txrx::make_link(spec.link, link_seed);
+    return [link, &spec, ensemble](std::size_t index, Rng& rng) {
+      return run_trial(*link, spec.link.options, ensemble.get(), index, rng);
+    };
   };
+}
+
+/// The cache ensemble-mode points resolve from (see SweepConfig).
+ChannelCache& channel_cache(const SweepConfig& config) {
+  return config.channel_cache != nullptr ? *config.channel_cache : ChannelCache::global();
+}
+
+/// One point's measurement and how long its trials took (channel-ensemble
+/// resolution excluded).
+struct PointRun {
+  sim::MeasuredPoint measured;
+  double elapsed_s = 0.0;
+};
+
+/// Measures the plan's point \p index under \p stop: the per-point seeding
+/// of the contract in sweep_engine.h, ensemble resolution, and the stage
+/// profiler reset, shared by the base pass and the adaptive top-ups. The
+/// index is always the point's global plan position.
+PointRun run_point(const SweepConfig& config, const PointSpec& spec, std::size_t index,
+                   const sim::BerStop& stop, ThreadPool& pool, const PointHooks& hooks) {
+  const Rng point_root = Rng(config.seed).fork(index);
+  const Rng trial_root = point_root.fork(kTrialStreamSalt);
+  const uint64_t link_seed = point_root.fork(kLinkSeedSalt).seed();
+
+  // Ensemble-mode multipath points share one realization set per
+  // channel-axis group: the cache key is pure spec content (SvParams
+  // fingerprint, ensemble seed, count), so every SNR/backend point of a
+  // group -- in this process or any shard -- resolves the same ensemble.
+  std::shared_ptr<const ChannelEnsemble> ensemble;
+  const txrx::ChannelSource& source = spec.link.options.channel_source;
+  if (source.is_ensemble() && spec.link.options.cm >= 1) {
+    const channel::SvParams params =
+        txrx::ensemble_sv_params(spec.link.options.cm, spec.link.generation());
+    obs::Span cache_span(config.trace, "channel_cache", "resolve " + params.name);
+    cache_span.arg("count", static_cast<std::uint64_t>(source.ensemble_count));
+    cache_span.arg("seed", source.ensemble_seed);
+    ensemble = channel_cache(config).get(params, source.ensemble_seed, source.ensemble_count);
+  }
+
+  // Per-point stage attribution: the workers' accumulators are zeroed
+  // here and merged by the caller after the measure returns (all workers
+  // quiesced), so each point's table holds this measurement alone.
+  if (config.profile != nullptr) config.profile->reset();
+
+  const auto start = std::chrono::steady_clock::now();
+  PointRun run;
+  run.measured = measure_point(make_trial_factory(spec, link_seed, std::move(ensemble)), stop,
+                               trial_root, pool, hooks, config.ci_method);
+  run.elapsed_s =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  return run;
 }
 
 /// Loud up-front check that a metric-targeting stop rule can actually see
@@ -119,8 +197,7 @@ SweepResult SweepEngine::run(const ScenarioSpec& scenario,
 
   // Telemetry baselines: caches are long-lived (possibly process-global),
   // so the run's counters are deltas over this run alone.
-  ChannelCache& cache =
-      config_.channel_cache != nullptr ? *config_.channel_cache : ChannelCache::global();
+  ChannelCache& cache = channel_cache(config_);
   const ChannelCache::Stats cache_before = cache.stats();
   const dsp::FftPlanCacheStats fft_before = dsp::fft_plan_cache_stats();
   const auto run_start = std::chrono::steady_clock::now();
@@ -139,7 +216,6 @@ SweepResult SweepEngine::run(const ScenarioSpec& scenario,
     config_.progress->begin_run(shard_points);
   }
 
-  const Rng sweep_root(config_.seed);
   const PointHooks hooks{config_.trace, config_.progress, config_.profile, config_.cancel};
   std::uint64_t traced_trials = 0;
   std::uint64_t traced_errors = 0;
@@ -156,39 +232,11 @@ SweepResult SweepEngine::run(const ScenarioSpec& scenario,
       break;
     }
     const PointSpec& spec = scenario.points[p];
-    const Rng point_root = sweep_root.fork(p);
-    const Rng trial_root = point_root.fork(kTrialStreamSalt);
-    const uint64_t link_seed = point_root.fork(kLinkSeedSalt).seed();
-
     if (config_.progress != nullptr) config_.progress->begin_point(p, spec.label);
     obs::Span point_span(config_.trace, "engine", "point " + spec.label);
     point_span.arg("index", static_cast<std::uint64_t>(p));
 
-    // Ensemble-mode multipath points share one realization set per
-    // channel-axis group: the cache key is pure spec content (SvParams
-    // fingerprint, ensemble seed, count), so every SNR/backend point of a
-    // group -- in this process or any shard -- resolves the same ensemble.
-    std::shared_ptr<const ChannelEnsemble> ensemble;
-    const txrx::ChannelSource& source = spec.link.options.channel_source;
-    if (source.is_ensemble() && spec.link.options.cm >= 1) {
-      channel::SvParams params =
-          txrx::ensemble_sv_params(spec.link.options.cm, spec.link.generation());
-      obs::Span cache_span(config_.trace, "channel_cache", "resolve " + params.name);
-      cache_span.arg("count", static_cast<std::uint64_t>(source.ensemble_count));
-      cache_span.arg("seed", source.ensemble_seed);
-      ensemble = cache.get(params, source.ensemble_seed, source.ensemble_count);
-    }
-
-    // Per-point stage attribution: the workers' accumulators are zeroed
-    // here and merged after the measure returns (all workers quiesced), so
-    // each record carries this point's table alone.
-    if (config_.profile != nullptr) config_.profile->reset();
-
-    const auto start = std::chrono::steady_clock::now();
-    sim::MeasuredPoint measured = measure_point_batched(
-        make_batch_factory(spec, link_seed, std::move(ensemble)), config_.batch_size,
-        config_.stop, trial_root, pool, hooks, config_.ci_method);
-    const std::chrono::duration<double> elapsed = std::chrono::steady_clock::now() - start;
+    PointRun point = run_point(config_, spec, p, config_.stop, pool, hooks);
 
     if (hooks.cancelled()) {
       // A cancelled measurement is truncated, not deterministic: discard
@@ -201,14 +249,14 @@ SweepResult SweepEngine::run(const ScenarioSpec& scenario,
       break;
     }
 
-    point_span.arg("trials", static_cast<std::uint64_t>(measured.ber.trials));
-    point_span.arg("bits", static_cast<std::uint64_t>(measured.ber.bits));
-    point_span.arg("errors", static_cast<std::uint64_t>(measured.ber.errors));
+    point_span.arg("trials", static_cast<std::uint64_t>(point.measured.ber.trials));
+    point_span.arg("bits", static_cast<std::uint64_t>(point.measured.ber.bits));
+    point_span.arg("errors", static_cast<std::uint64_t>(point.measured.ber.errors));
     point_span.finish();
     if (config_.trace != nullptr) {
       // Cumulative committed totals as counter tracks across the sweep.
-      traced_trials += measured.ber.trials;
-      traced_errors += measured.ber.errors;
+      traced_trials += point.measured.ber.trials;
+      traced_errors += point.measured.ber.errors;
       config_.trace->counter("engine", "committed_trials",
                              static_cast<double>(traced_trials));
       config_.trace->counter("engine", "bit_errors", static_cast<double>(traced_errors));
@@ -221,9 +269,9 @@ SweepResult SweepEngine::run(const ScenarioSpec& scenario,
     PointRecord record;
     record.index = p;
     record.spec = spec;
-    record.ber = measured.ber;
-    record.metrics = std::move(measured.metrics);
-    record.elapsed_s = elapsed.count();
+    record.ber = point.measured.ber;
+    record.metrics = std::move(point.measured.metrics);
+    record.elapsed_s = point.elapsed_s;
     if (config_.profile != nullptr) {
       record.stages = config_.profile->merged();
       result.stages.merge(record.stages);
@@ -280,10 +328,7 @@ SweepResult SweepEngine::run_adaptive(const ScenarioSpec& scenario,
   SweepResult result = run(scenario, {});
 
   if (!result.interrupted && extra_trials > 0 && !result.records.empty()) {
-    ChannelCache& cache =
-        config_.channel_cache != nullptr ? *config_.channel_cache : ChannelCache::global();
     ThreadPool pool(config_.workers, config_.trace);
-    const Rng sweep_root(config_.seed);
     // Top-ups run without the progress meter (its point counts were sized
     // for the base pass); the trace recorder still sees them.
     const PointHooks hooks{config_.trace, nullptr, config_.profile, config_.cancel};
@@ -301,7 +346,6 @@ SweepResult SweepEngine::run_adaptive(const ScenarioSpec& scenario,
       if (pick < 0) break;  // every point saturated
       stats::AllocPoint& ap = alloc[static_cast<std::size_t>(pick)];
       PointRecord& rec = result.records[static_cast<std::size_t>(pick)];
-      const std::size_t p = rec.index;
 
       // Trial-budgeted extension: the error/bit budgets already fired on
       // the base pass, so only the raised trial cap (and a CI target, when
@@ -313,23 +357,8 @@ SweepResult SweepEngine::run_adaptive(const ScenarioSpec& scenario,
       stop.max_bits = std::numeric_limits<std::size_t>::max();
       stop.max_trials = ap.trials + stats::next_chunk(ap.trials, remaining);
 
-      const Rng point_root = sweep_root.fork(p);
-      const Rng trial_root = point_root.fork(kTrialStreamSalt);
-      const uint64_t link_seed = point_root.fork(kLinkSeedSalt).seed();
-      std::shared_ptr<const ChannelEnsemble> ensemble;
-      const txrx::ChannelSource& source = rec.spec.link.options.channel_source;
-      if (source.is_ensemble() && rec.spec.link.options.cm >= 1) {
-        const channel::SvParams params =
-            txrx::ensemble_sv_params(rec.spec.link.options.cm, rec.spec.link.generation());
-        ensemble = cache.get(params, source.ensemble_seed, source.ensemble_count);
-      }
-
       obs::Span span(config_.trace, "engine", "topup " + rec.spec.label);
-      if (config_.profile != nullptr) config_.profile->reset();
-      const auto start = std::chrono::steady_clock::now();
-      sim::MeasuredPoint measured = measure_point_batched(
-          make_batch_factory(rec.spec, link_seed, std::move(ensemble)), config_.batch_size,
-          stop, trial_root, pool, hooks, config_.ci_method);
+      PointRun point = run_point(config_, rec.spec, rec.index, stop, pool, hooks);
       span.finish();
       if (config_.profile != nullptr) {
         // A top-up replays the committed prefix then extends it; its stage
@@ -343,11 +372,10 @@ SweepResult SweepEngine::run_adaptive(const ScenarioSpec& scenario,
         result.interrupted = true;
         break;
       }
-      rec.elapsed_s += std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-                           .count();
+      rec.elapsed_s += point.elapsed_s;
 
       const std::size_t grown =
-          measured.ber.trials > ap.trials ? measured.ber.trials - ap.trials : 0;
+          point.measured.ber.trials > ap.trials ? point.measured.ber.trials - ap.trials : 0;
       if (grown == 0) {
         // A CI target (or a degenerate plan) kept the point from growing:
         // never pick it again, the budget moves to the next-widest point.
@@ -355,8 +383,8 @@ SweepResult SweepEngine::run_adaptive(const ScenarioSpec& scenario,
         continue;
       }
       remaining -= std::min(remaining, grown);
-      rec.ber = measured.ber;
-      rec.metrics = std::move(measured.metrics);
+      rec.ber = point.measured.ber;
+      rec.metrics = std::move(point.measured.metrics);
       ap.ber = rec.ber.ber;
       ap.ci_halfwidth = 0.5 * (rec.ber.ci_hi - rec.ber.ci_lo);
       ap.trials = rec.ber.trials;

@@ -15,8 +15,9 @@
 /// txrx::make_link, so all workers see identical hardware mismatch, and
 /// each trial draws all of its randomness from trial_root.fork(trial_index).
 /// Outcomes commit in trial order under the BerStop rule (see
-/// parallel_ber.h), so the measured BerPoints -- and any JSON/CSV the sinks
-/// write -- are byte-identical whether the sweep ran on 1 worker or 64.
+/// engine::measure_point), so the measured BerPoints -- and any JSON/CSV
+/// the sinks write -- are byte-identical whether the sweep ran on 1 worker
+/// or 64.
 ///
 /// Sharding rides on the same contract: point_index above is always the
 /// point's *global* position in the plan, so shard i of N (running points
@@ -48,14 +49,6 @@ struct SweepConfig {
   uint64_t seed = 0x5eed'0000'cafe'f00dULL;
   std::size_t workers = 0;  ///< 0 = hardware concurrency
   sim::BerStop stop;
-
-  /// Trials per worker claim (see engine::measure_point_batched and
-  /// txrx::PacketBatch): each worker runs contiguous index ranges of this
-  /// size through one batched executor, amortizing per-realization link
-  /// state across the batch. Execution granularity ONLY -- outcomes still
-  /// commit per trial in global index order, so the result document is
-  /// byte-identical for any batch size (tested at 1/4/16 x 1/8 workers).
-  std::size_t batch_size = 1;
 
   /// Two-sided interval reported for unweighted points (weighted points
   /// always use the normal interval on the weight sums). Exact

@@ -29,7 +29,7 @@
 ///
 /// Merge contract: merged() / reset() may only run once every profiled
 /// thread has quiesced (for a sweep: between points, after
-/// measure_point_parallel returned -- every accumulator write
+/// engine::measure_point returned -- every accumulator write
 /// happens-before the worker-done notification it returned on).
 
 #include <array>

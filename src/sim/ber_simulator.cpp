@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "engine/parallel_ber.h"
-
 namespace uwb::sim {
 
 BerStop scale_stop(BerStop stop, std::size_t error_divisor, std::size_t bits_divisor) {
@@ -12,13 +10,6 @@ BerStop scale_stop(BerStop stop, std::size_t error_divisor, std::size_t bits_div
   stop.max_bits =
       std::max<std::size_t>(1, stop.max_bits / std::max<std::size_t>(1, bits_divisor));
   return stop;
-}
-
-BerPoint measure_ber(const std::function<TrialOutcome()>& trial, const BerStop& stop) {
-  // Thin adapter over the engine's serial core: the closure owns its
-  // randomness, so the per-trial Rng the engine supplies is unused here.
-  return engine::measure_ber_serial([&trial](std::size_t, Rng&) { return trial(); }, stop,
-                                    Rng(0));
 }
 
 }  // namespace uwb::sim

@@ -4,7 +4,6 @@
 ///        counts plus named scalar metrics), the stopping rule, and the
 ///        measured-point results every link bench shares.
 
-#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -82,17 +81,11 @@ struct BerPoint {
 
 /// A fully measured grid point: the BER counters plus the reductions of
 /// every named metric the trials emitted (count / mean / variance per
-/// metric, see MetricStats). What engine::measure_point_* returns and the
+/// metric, see MetricStats). What engine::measure_point returns and the
 /// result sinks serialize.
 struct MeasuredPoint {
   BerPoint ber;
   MetricSet metrics;
 };
-
-/// Runs \p trial repeatedly under the stopping rule. (Sequential; this is
-/// a thin adapter over engine::measure_point_serial -- parallel sweeps use
-/// engine::SweepEngine / engine::measure_point_parallel, which produce
-/// identical results for seed-parameterized trials.)
-BerPoint measure_ber(const std::function<TrialOutcome()>& trial, const BerStop& stop = {});
 
 }  // namespace uwb::sim

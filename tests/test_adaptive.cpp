@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include "common/error.h"
+#include "engine/parallel_ber.h"
+#include "engine/thread_pool.h"
 #include "sim/adaptive.h"
 #include "sim/ber_simulator.h"
 #include "sim/scenario.h"
@@ -114,23 +116,28 @@ TEST(CodedLink, SoftViterbiBeatsUncodedAtEqualInfoEnergy) {
   coded.payload_bits = 200;
   coded.ebn0_db = 4.0;  // info-bit Eb/N0 = 7 dB
   coded.fec = fec::k7_rate_half();
-  const auto p_coded = sim::measure_ber(
-      [&]() {
-        const auto trial = coded_link.run_packet(coded);
-        return sim::TrialOutcome{trial.bits, trial.errors};
-      },
-      stop);
+  // Each link owns its randomness: one worker, index and per-trial Rng
+  // unused.
+  engine::ThreadPool pool(1);
+  const engine::TrialFactory coded_trials = [&] {
+    return [&](std::size_t, Rng&) {
+      const auto trial = coded_link.run_packet(coded);
+      return sim::TrialOutcome{trial.bits, trial.errors, {}};
+    };
+  };
+  const auto p_coded = engine::measure_point(coded_trials, stop, Rng(0), pool).ber;
 
   txrx::Gen2Link plain_link(config, 0xC0DE);
   txrx::TrialOptions plain;
   plain.payload_bits = 200;
   plain.ebn0_db = 7.0;  // same info-bit energy
-  const auto p_plain = sim::measure_ber(
-      [&]() {
-        const auto trial = plain_link.run_packet(plain);
-        return sim::TrialOutcome{trial.bits, trial.errors};
-      },
-      stop);
+  const engine::TrialFactory plain_trials = [&] {
+    return [&](std::size_t, Rng&) {
+      const auto trial = plain_link.run_packet(plain);
+      return sim::TrialOutcome{trial.bits, trial.errors, {}};
+    };
+  };
+  const auto p_plain = engine::measure_point(plain_trials, stop, Rng(0), pool).ber;
 
   EXPECT_LT(p_coded.ber, p_plain.ber)
       << "coded=" << p_coded.ber << " uncoded=" << p_plain.ber;

@@ -8,6 +8,7 @@
 #include <atomic>
 #include <cmath>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "common/error.h"
@@ -83,6 +84,14 @@ void expect_points_equal(const sim::BerPoint& a, const sim::BerPoint& b) {
   EXPECT_EQ(a.ci95, b.ci95);
 }
 
+/// Measures \p trial on a fresh pool of \p workers (one closure copy per
+/// worker).
+sim::MeasuredPoint measure_on(std::size_t workers, const TrialFn& trial,
+                              const sim::BerStop& stop, const Rng& root) {
+  ThreadPool pool(workers);
+  return measure_point([&trial] { return trial; }, stop, root, pool);
+}
+
 TEST(ParallelBer, MatchesSerialExactly) {
   sim::BerStop stop;
   stop.min_errors = 40;
@@ -90,12 +99,10 @@ TEST(ParallelBer, MatchesSerialExactly) {
   stop.max_trials = 100000;
   const Rng root(0xDECAF);
 
-  const sim::BerPoint serial = measure_ber_serial(synthetic_trial, stop, root);
+  const sim::BerPoint serial = measure_on(1, synthetic_trial, stop, root).ber;
   ASSERT_GT(serial.trials, 0u);
 
-  ThreadPool pool(4);
-  const sim::BerPoint parallel =
-      measure_ber_parallel([] { return TrialFn(synthetic_trial); }, stop, root, pool);
+  const sim::BerPoint parallel = measure_on(4, synthetic_trial, stop, root).ber;
   expect_points_equal(serial, parallel);
 }
 
@@ -109,9 +116,7 @@ TEST(ParallelBer, WorkerCountDoesNotChangeTheAnswer) {
   sim::BerPoint results[3];
   const std::size_t worker_counts[] = {1, 2, 7};
   for (int i = 0; i < 3; ++i) {
-    ThreadPool pool(worker_counts[i]);
-    results[i] =
-        measure_ber_parallel([] { return TrialFn(synthetic_trial); }, stop, root, pool);
+    results[i] = measure_on(worker_counts[i], synthetic_trial, stop, root).ber;
   }
   expect_points_equal(results[0], results[1]);
   expect_points_equal(results[0], results[2]);
@@ -122,10 +127,8 @@ TEST(ParallelBer, MaxTrialsHardStopWithZeroBitTrials) {
   stop.min_errors = 10;
   stop.max_bits = 1000;
   stop.max_trials = 9;
-  ThreadPool pool(3);
-  const sim::BerPoint point = measure_ber_parallel(
-      [] { return TrialFn([](std::size_t, Rng&) { return sim::TrialOutcome{0, 0, {}}; }); },
-      stop, Rng(2), pool);
+  const sim::BerPoint point = measure_on(
+      3, [](std::size_t, Rng&) { return sim::TrialOutcome{0, 0, {}}; }, stop, Rng(2)).ber;
   EXPECT_EQ(point.trials, 9u);
   EXPECT_EQ(point.bits, 0u);
   EXPECT_DOUBLE_EQ(point.ber, 0.0);
@@ -133,18 +136,16 @@ TEST(ParallelBer, MaxTrialsHardStopWithZeroBitTrials) {
 }
 
 TEST(ParallelBer, DegenerateBudgetsRunNothing) {
-  ThreadPool pool(2);
   sim::BerStop stop;
   stop.max_trials = 0;
   std::atomic<int> calls{0};
-  const sim::BerPoint point = measure_ber_parallel(
-      [&calls] {
-        return TrialFn([&calls](std::size_t, Rng&) {
-          ++calls;
-          return sim::TrialOutcome{1, 0, {}};
-        });
+  const sim::BerPoint point = measure_on(
+      2,
+      [&calls](std::size_t, Rng&) {
+        ++calls;
+        return sim::TrialOutcome{1, 0, {}};
       },
-      stop, Rng(1), pool);
+      stop, Rng(1)).ber;
   EXPECT_EQ(point.trials, 0u);
   EXPECT_EQ(calls.load(), 0);
 }
@@ -332,75 +333,36 @@ TEST(SweepEngine, OneWorkerAndManyWorkersAreByteIdentical) {
   EXPECT_NE(j1.find("\"ber\""), std::string::npos);
 }
 
-TEST(SweepEngine, BatchedSweepIsByteIdenticalAcrossBatchSizesAndWorkers) {
-  // The batched-pipeline determinism contract (engine/parallel_ber.h):
-  // batch size and worker count are execution granularity only, so every
-  // (B, workers) combination must serialize the reference document byte
-  // for byte. Fresh-draw scenario here; the ensemble-mode (grouped
-  // realization) variant is covered below.
-  const ScenarioSpec scenario = tiny_scenario();
-
-  std::string reference;
-  for (const std::size_t batch : {1u, 4u, 16u}) {
-    for (const std::size_t workers : {1u, 8u}) {
-      SweepConfig config;
-      config.seed = 0x5EED;
-      config.workers = workers;
-      config.batch_size = batch;
-      config.stop = tiny_stop();
-      const std::string path = "test_results/sweep_b" + std::to_string(batch) + "_w" +
-                               std::to_string(workers) + ".json";
-      JsonSink json(path);
-      const SweepResult result = SweepEngine(config).run(scenario, {&json});
-      ASSERT_EQ(result.records.size(), scenario.points.size());
-      const std::string bytes = slurp(path);
-      ASSERT_FALSE(bytes.empty());
-      if (reference.empty()) {
-        reference = bytes;
-      } else {
-        SCOPED_TRACE("batch=" + std::to_string(batch) +
-                     " workers=" + std::to_string(workers));
-        EXPECT_EQ(bytes, reference);
-      }
-    }
-  }
-}
-
-TEST(SweepEngine, BatchedEnsembleSweepIsByteIdentical) {
-  // Ensemble mode exercises PacketBatch's realization grouping: trials of
-  // one claim that share a cached CIR run back-to-back, which must not
-  // change a byte of the document either.
+TEST(SweepEngine, EnsembleSweepIsByteIdenticalAcrossWorkerCounts) {
+  // Ensemble mode: trials share cached realizations by index (trial i uses
+  // realization i % 3), so which worker runs which trial must not change a
+  // byte of the document either.
   txrx::TrialOptions options;
   options.payload_bits = 64;
   options.genie_timing = true;
   options.cm = 1;
   options.channel_source.mode = txrx::ChannelSource::Mode::kEnsemble;
-  options.channel_source.ensemble_count = 3;  // < batch, so batches group
-  Gen2ScenarioBuilder builder("batched_ensemble", sim::gen2_fast(), options);
+  options.channel_source.ensemble_count = 3;
+  Gen2ScenarioBuilder builder("ensemble", sim::gen2_fast(), options);
   builder.ebn0_grid({6.0});
   const ScenarioSpec scenario = builder.build();
 
   std::string reference;
-  for (const std::size_t batch : {1u, 8u}) {
-    for (const std::size_t workers : {1u, 4u}) {
-      SweepConfig config;
-      config.seed = 0xE45;
-      config.workers = workers;
-      config.batch_size = batch;
-      config.stop = tiny_stop();
-      const std::string path = "test_results/ens_b" + std::to_string(batch) + "_w" +
-                               std::to_string(workers) + ".json";
-      JsonSink json(path);
-      (void)SweepEngine(config).run(scenario, {&json});
-      const std::string bytes = slurp(path);
-      ASSERT_FALSE(bytes.empty());
-      if (reference.empty()) {
-        reference = bytes;
-      } else {
-        SCOPED_TRACE("batch=" + std::to_string(batch) +
-                     " workers=" + std::to_string(workers));
-        EXPECT_EQ(bytes, reference);
-      }
+  for (const std::size_t workers : {1u, 4u}) {
+    SweepConfig config;
+    config.seed = 0xE45;
+    config.workers = workers;
+    config.stop = tiny_stop();
+    const std::string path = "test_results/ens_w" + std::to_string(workers) + ".json";
+    JsonSink json(path);
+    (void)SweepEngine(config).run(scenario, {&json});
+    const std::string bytes = slurp(path);
+    ASSERT_FALSE(bytes.empty());
+    if (reference.empty()) {
+      reference = bytes;
+    } else {
+      SCOPED_TRACE("workers=" + std::to_string(workers));
+      EXPECT_EQ(bytes, reference);
     }
   }
 }
@@ -543,6 +505,70 @@ TEST(SweepEngine, ShardsPartitionThePlanAndMatchTheUnshardedRun) {
   }
 }
 
+TEST(SweepEngine, AdaptiveTopUpExtendsThePlainRunPrefix) {
+  // run_adaptive's contract (sweep_engine.h): the document is a pure
+  // function of (scenario, seed, stop, extra_trials), the top-ups spend at
+  // most extra_trials, and a topped-up point is exactly the plain run of
+  // that point with its trial cap raised to the final count -- the
+  // committed prefix is extended, never re-rolled.
+  const ScenarioSpec scenario = tiny_scenario();  // 2 points
+  constexpr std::size_t kExtraTrials = 100;
+
+  SweepConfig config;
+  config.seed = 0xADA7;
+  config.stop = tiny_stop();
+
+  std::vector<SweepResult> adaptive;
+  for (const std::size_t workers : {1u, 4u}) {
+    config.workers = workers;
+    JsonSink json("test_results/adaptive_w" + std::to_string(workers) + ".json");
+    adaptive.push_back(SweepEngine(config).run_adaptive(scenario, kExtraTrials, {&json}));
+    ASSERT_EQ(adaptive.back().records.size(), scenario.points.size());
+  }
+  const std::string bytes = slurp("test_results/adaptive_w1.json");
+  ASSERT_FALSE(bytes.empty());
+  EXPECT_EQ(bytes, slurp("test_results/adaptive_w4.json"));
+
+  const SweepResult base = SweepEngine(config).run(scenario);
+  ASSERT_EQ(base.records.size(), scenario.points.size());
+  std::size_t added = 0;
+  std::size_t topped_up = 0;
+  for (std::size_t p = 0; p < base.records.size(); ++p) {
+    const PointRecord& rec = adaptive[0].records[p];
+    SCOPED_TRACE(rec.spec.label);
+    ASSERT_GE(rec.ber.trials, base.records[p].ber.trials);
+    added += rec.ber.trials - base.records[p].ber.trials;
+    if (rec.ber.trials == base.records[p].ber.trials) continue;
+    ++topped_up;
+
+    // The plain run of point p alone (shard p of N keeps its global seed
+    // index) with the trial cap at the point's final count.
+    SweepConfig plain = config;
+    plain.shard_index = p;
+    plain.shard_count = scenario.points.size();
+    plain.stop.min_errors = std::numeric_limits<std::size_t>::max();
+    plain.stop.max_bits = std::numeric_limits<std::size_t>::max();
+    plain.stop.max_trials = rec.ber.trials;
+    const SweepResult reference = SweepEngine(plain).run(scenario);
+    ASSERT_EQ(reference.records.size(), 1u);
+    const sim::BerPoint& want = reference.records[0].ber;
+    expect_points_equal(rec.ber, want);
+    EXPECT_EQ(rec.ber.ci_lo, want.ci_lo);
+    EXPECT_EQ(rec.ber.ci_hi, want.ci_hi);
+    const auto& got_metrics = rec.metrics.entries();
+    const auto& want_metrics = reference.records[0].metrics.entries();
+    ASSERT_EQ(got_metrics.size(), want_metrics.size());
+    for (std::size_t m = 0; m < want_metrics.size(); ++m) {
+      EXPECT_EQ(got_metrics[m].first, want_metrics[m].first);
+      EXPECT_EQ(got_metrics[m].second.count, want_metrics[m].second.count);
+      EXPECT_EQ(got_metrics[m].second.sum, want_metrics[m].second.sum);
+    }
+  }
+  EXPECT_GT(topped_up, 0u);
+  EXPECT_GT(added, 0u);
+  EXPECT_LE(added, kExtraTrials);
+}
+
 TEST(SweepEngine, InvalidPointFailsBeforeAnyTrialRuns) {
   // A plan whose *last* point is invalid must be rejected up front -- an
   // exception mid-sweep would discard every completed point.
@@ -637,7 +663,7 @@ TEST(MetricAccumulator, SerialReductionMatchesDirectComputation) {
     }
   }
 
-  const sim::MeasuredPoint point = measure_point_serial(metric_trial, stop, root);
+  const sim::MeasuredPoint point = measure_on(1, metric_trial, stop, root);
   EXPECT_EQ(point.ber.trials, 20u);
   const sim::MetricStats* flag = point.metrics.find("flag");
   const sim::MetricStats* latency = point.metrics.find("latency");
@@ -665,14 +691,12 @@ TEST(MetricAccumulator, ParallelMetricsMatchSerialExactly) {
   stop.min_errors = 40;
   stop.max_bits = 5000;
   const Rng root(0xFACE);
-  const sim::MeasuredPoint serial = measure_point_serial(metric_trial, stop, root);
+  const sim::MeasuredPoint serial = measure_on(1, metric_trial, stop, root);
   ASSERT_FALSE(serial.metrics.empty());
 
   for (std::size_t workers : {1u, 4u, 8u}) {
     SCOPED_TRACE(workers);
-    ThreadPool pool(workers);
-    const sim::MeasuredPoint parallel =
-        measure_point_parallel([] { return TrialFn(metric_trial); }, stop, root, pool);
+    const sim::MeasuredPoint parallel = measure_on(workers, metric_trial, stop, root);
     expect_points_equal(serial.ber, parallel.ber);
     ASSERT_EQ(parallel.metrics.entries().size(), serial.metrics.entries().size());
     for (std::size_t m = 0; m < serial.metrics.entries().size(); ++m) {
@@ -697,7 +721,7 @@ TEST(MetricAccumulator, MetricStopRuleCountsFailedTrials) {
   stop.metric = "flag";
   const Rng root(0x57D0);
 
-  const sim::MeasuredPoint point = measure_point_serial(metric_trial, stop, root);
+  const sim::MeasuredPoint point = measure_on(1, metric_trial, stop, root);
   const sim::MetricStats* flag = point.metrics.find("flag");
   ASSERT_NE(flag, nullptr);
   // Exactly min_errors failed trials committed (the last commit trips it).
@@ -705,16 +729,14 @@ TEST(MetricAccumulator, MetricStopRuleCountsFailedTrials) {
   EXPECT_LT(point.ber.trials, 100000u);
 
   // Parallel agrees for any worker count.
-  ThreadPool pool(4);
-  const sim::MeasuredPoint parallel =
-      measure_point_parallel([] { return TrialFn(metric_trial); }, stop, root, pool);
+  const sim::MeasuredPoint parallel = measure_on(4, metric_trial, stop, root);
   expect_points_equal(point.ber, parallel.ber);
 
   // A metric no trial emits never succeeds: every trial is an error, so
   // the loop stops after exactly min_errors trials.
   sim::BerStop missing = stop;
   missing.metric = "not_emitted";
-  const sim::MeasuredPoint degenerate = measure_point_serial(metric_trial, missing, root);
+  const sim::MeasuredPoint degenerate = measure_on(1, metric_trial, missing, root);
   EXPECT_EQ(degenerate.ber.trials, 5u);
 }
 
@@ -760,7 +782,7 @@ TEST(SweepEngine, AcquisitionScenarioByteIdenticalAcrossWorkerCounts) {
 }
 
 TEST(SweepEngine, PortedMetricScenariosByteIdenticalAcrossWorkerCounts) {
-  // Every scenario ported off the sequential sim::measure_ber path: a
+  // Every scenario ported onto the sweep engine: a
   // 1-worker and an 8-worker run (first two grid points, tiny budgets)
   // must serialize byte-identical result JSON. gen1_acquisition has its
   // own deeper test above.

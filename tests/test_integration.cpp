@@ -8,6 +8,8 @@
 
 #include "common/error.h"
 #include "common/math_utils.h"
+#include "engine/parallel_ber.h"
+#include "engine/thread_pool.h"
 #include "sim/ber_simulator.h"
 #include "sim/scenario.h"
 #include "txrx/link.h"
@@ -27,12 +29,16 @@ BerPoint run_gen2(Gen2Link& link, const txrx::TrialOptions& options, std::size_t
   stop.min_errors = min_errors;
   stop.max_bits = max_bits;
   stop.max_trials = 2000;
-  return sim::measure_ber(
-      [&]() {
-        const auto trial = link.run_packet(options);
-        return TrialOutcome{trial.bits, trial.errors};
-      },
-      stop);
+  // The link owns its randomness: one worker, index and per-trial Rng
+  // unused.
+  engine::ThreadPool pool(1);
+  const engine::TrialFactory trials = [&] {
+    return [&](std::size_t, Rng&) {
+      const auto trial = link.run_packet(options);
+      return TrialOutcome{trial.bits, trial.errors, {}};
+    };
+  };
+  return engine::measure_point(trials, stop, Rng(0), pool).ber;
 }
 
 TEST(Integration, Gen2AwgnBerTracksTheoryWithin2dB) {

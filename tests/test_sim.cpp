@@ -7,6 +7,8 @@
 
 #include "common/error.h"
 #include "common/rng.h"
+#include "engine/parallel_ber.h"
+#include "engine/thread_pool.h"
 #include "sim/ber_simulator.h"
 #include "sim/metrics.h"
 #include "sim/scenario.h"
@@ -66,13 +68,21 @@ TEST(Percentile, InterpolatesSorted) {
 
 // ------------------------------------------------------------ monte carlo ----
 
+/// The engine's trial core on one worker. The trials here own their
+/// randomness, so they ignore the trial index and per-trial Rng.
+BerPoint measure_on_one_worker(const engine::TrialFn& trial, const BerStop& stop) {
+  engine::ThreadPool pool(1);
+  return engine::measure_point([&trial] { return trial; }, stop, Rng(0), pool).ber;
+}
+
 TEST(MeasureBer, StopsOnErrorBudget) {
   // A deterministic trial with BER 10%: 50 errors arrive after 5 trials of
   // 100 bits with 10 errors each.
   BerStop stop;
   stop.min_errors = 50;
   stop.max_bits = 1000000;
-  const BerPoint point = measure_ber([]() { return TrialOutcome{100, 10}; }, stop);
+  const BerPoint point =
+      measure_on_one_worker([](std::size_t, Rng&) { return TrialOutcome{100, 10, {}}; }, stop);
   EXPECT_EQ(point.trials, 5u);
   EXPECT_EQ(point.errors, 50u);
   EXPECT_DOUBLE_EQ(point.ber, 0.1);
@@ -82,7 +92,8 @@ TEST(MeasureBer, StopsOnBitBudgetWhenErrorFree) {
   BerStop stop;
   stop.min_errors = 50;
   stop.max_bits = 5000;
-  const BerPoint point = measure_ber([]() { return TrialOutcome{1000, 0}; }, stop);
+  const BerPoint point =
+      measure_on_one_worker([](std::size_t, Rng&) { return TrialOutcome{1000, 0, {}}; }, stop);
   EXPECT_EQ(point.trials, 5u);
   EXPECT_DOUBLE_EQ(point.ber, 0.0);
 }
@@ -95,7 +106,8 @@ TEST(MeasureBer, ZeroBitTrialsStopAtMaxTrials) {
   stop.min_errors = 10;
   stop.max_bits = 1000;
   stop.max_trials = 7;
-  const BerPoint point = measure_ber([]() { return TrialOutcome{0, 0}; }, stop);
+  const BerPoint point =
+      measure_on_one_worker([](std::size_t, Rng&) { return TrialOutcome{0, 0, {}}; }, stop);
   EXPECT_EQ(point.trials, 7u);
   EXPECT_EQ(point.bits, 0u);
   EXPECT_EQ(point.errors, 0u);
@@ -112,7 +124,8 @@ TEST(MeasureBer, MaxTrialsIsHardStopWithoutErrors) {
   stop.min_errors = 50;
   stop.max_bits = 1'000'000'000;
   stop.max_trials = 5;
-  const BerPoint point = measure_ber([]() { return TrialOutcome{10, 0}; }, stop);
+  const BerPoint point =
+      measure_on_one_worker([](std::size_t, Rng&) { return TrialOutcome{10, 0, {}}; }, stop);
   EXPECT_EQ(point.trials, 5u);
   EXPECT_EQ(point.bits, 50u);
   EXPECT_DOUBLE_EQ(point.ber, 0.0);
@@ -124,13 +137,13 @@ TEST(MeasureBer, MatchesBernoulliStatistics) {
   BerStop stop;
   stop.min_errors = 400;
   stop.max_bits = 10000000;
-  const BerPoint point = measure_ber(
-      [&]() {
+  const BerPoint point = measure_on_one_worker(
+      [&](std::size_t, Rng&) {
         std::size_t errors = 0;
         for (int i = 0; i < 500; ++i) {
           if (rng.uniform() < p) ++errors;
         }
-        return TrialOutcome{500, errors};
+        return TrialOutcome{500, errors, {}};
       },
       stop);
   EXPECT_NEAR(point.ber, p, 3.0 * point.ci95 / 1.96);  // within ~3 sigma

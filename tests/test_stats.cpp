@@ -257,8 +257,10 @@ TEST_P(AwgnBpskErfcProperty, SimulatedBerWithinClopperPearsonOfClosedForm) {
   stop.min_errors = 60;
   stop.max_bits = 40'000'000;
   stop.max_trials = 200'000;
+  engine::ThreadPool pool(1);
   const sim::BerPoint point =
-      engine::measure_ber_serial(trial, stop, Rng(0xBE11 + GetParam()));
+      engine::measure_point([&trial] { return trial; }, stop, Rng(0xBE11 + GetParam()), pool)
+          .ber;
   ASSERT_GE(point.errors, 10u) << "budget too small at " << ebn0_db << " dB";
   const stats::Interval ci =
       stats::clopper_pearson(point.errors, point.bits, 0.999);
@@ -301,8 +303,11 @@ TEST(WeightedEstimator, MatchesClosedFormDeepInTheTail) {
   stop.min_errors = std::numeric_limits<std::size_t>::max();
   stop.max_bits = std::numeric_limits<std::size_t>::max();
   stop.max_trials = 20'000;
-  const sim::BerPoint point = engine::measure_ber_serial(
-      make_tilted_bpsk_trial(policy, d), stop, Rng(0x15BE));
+  engine::ThreadPool pool(1);
+  const sim::BerPoint point =
+      engine::measure_point([&] { return make_tilted_bpsk_trial(policy, d); }, stop,
+                            Rng(0x15BE), pool)
+          .ber;
 
   EXPECT_TRUE(point.weighted);
   EXPECT_EQ(point.ci_method, stats::CiMethod::kNormalWeighted);
@@ -327,8 +332,11 @@ TEST(WeightedEstimator, CiWidthStopRuleFires) {
   stop.max_bits = std::numeric_limits<std::size_t>::max();
   stop.max_trials = 200'000;
   stop.target_rel_ci_width = 0.25;
-  const sim::BerPoint point = engine::measure_ber_serial(
-      make_tilted_bpsk_trial(policy, d), stop, Rng(0x15BF));
+  engine::ThreadPool pool(1);
+  const sim::BerPoint point =
+      engine::measure_point([&] { return make_tilted_bpsk_trial(policy, d); }, stop,
+                            Rng(0x15BF), pool)
+          .ber;
   ASSERT_GT(point.ber, 0.0);
   EXPECT_LT(point.trials, stop.max_trials) << "CI stop never fired";
   EXPECT_LE(0.5 * (point.ci_hi - point.ci_lo) / point.ber,
@@ -349,11 +357,11 @@ TEST(WeightedEstimator, ParallelCommitIsByteIdenticalAcrossWorkerCounts) {
   const Rng root(0x15C0);
   const engine::TrialFactory factory = [&] { return make_tilted_bpsk_trial(policy, d); };
 
-  const sim::BerPoint serial =
-      engine::measure_ber_serial(make_tilted_bpsk_trial(policy, d), stop, root);
+  engine::ThreadPool serial_pool(1);
+  const sim::BerPoint serial = engine::measure_point(factory, stop, root, serial_pool).ber;
   for (const std::size_t workers : {1u, 3u, 8u}) {
     engine::ThreadPool pool(workers);
-    const sim::BerPoint par = engine::measure_ber_parallel(factory, stop, root, pool);
+    const sim::BerPoint par = engine::measure_point(factory, stop, root, pool).ber;
     EXPECT_EQ(par.trials, serial.trials) << workers << " workers";
     EXPECT_EQ(par.errors, serial.errors) << workers << " workers";
     // Bit-exact, not approximately equal: commit order is the contract.
