@@ -6,6 +6,7 @@
 #include <limits>
 
 #include "common/error.h"
+#include "common/simd.h"
 
 namespace uwb::adc {
 
@@ -66,11 +67,14 @@ TimeInterleavedAdc::TimeInterleavedAdc(int num_lanes, const FlashParams& lane_pa
     offsets_f_.push_back(static_cast<float>(offsets_[k]));
   }
   thr_rows_ = lanes_.front().thresholds().size();
-  thr_t_.resize(thr_rows_ * lanes_.size());
-  for (std::size_t t = 0; t < thr_rows_; ++t) {
-    for (std::size_t k = 0; k < lanes_.size(); ++k) {
-      thr_t_[t * lanes_.size() + k] = static_cast<float>(lanes_[k].thresholds()[t]);
+  thr_t_.resize(thr_rows_ * kBlockRow);
+  for (std::size_t c = 0; c < kBlockRow; ++c) {
+    const std::size_t k = c % lanes_.size();
+    for (std::size_t t = 0; t < thr_rows_; ++t) {
+      thr_t_[t * kBlockRow + c] = static_cast<float>(lanes_[k].thresholds()[t]);
     }
+    gains_row_.push_back(gains_f_[k]);
+    offsets_row_.push_back(offsets_f_[k]);
   }
 }
 
@@ -116,51 +120,125 @@ void TimeInterleavedAdc::convert_block(const double* x, std::size_t n,
 
 void TimeInterleavedAdc::convert_block(const float* x, std::size_t n,
                                        float* levels) noexcept {
-  const std::size_t num_lanes = lanes_.size();
-  std::size_t lane = lane_;
+  detail::convert_block(*this, host_isa(), x, n, levels);
+}
+
+namespace {
+
+/// What the ladder body reads of a 4-lane converter: one row per threshold,
+/// row_stride entries apart, holding that threshold for lanes 0,1,2,3,0,1,...;
+/// the lane gains and offsets follow the same pattern.
+struct LadderRows {
+  const float* thr_t;
+  std::size_t rows;
+  std::size_t row_stride;
+  const float* gains;
+  const float* offsets;
+  float level_base;
+  float lsb;
+};
+
+/// The one ladder body every clone compiles: whole blocks of kW samples
+/// starting on lane 0, each sample compared against every threshold of its
+/// lane (one row per threshold) and counted in its own lane. Returns the
+/// number of samples converted, a multiple of kW (and so of 4).
+template <std::size_t kW>
+[[gnu::always_inline]] inline std::size_t ladder_blocks(const LadderRows& lad, const float* x,
+                                                        std::size_t n, float* levels) noexcept {
+  using V = typename simd::Vec<float, kW * sizeof(float)>::type;
+  using VI = typename simd::Vec<std::int32_t, kW * sizeof(float)>::type;
+  V gain, offset;
+  simd::load(gain, lad.gains);
+  simd::load(offset, lad.offsets);
+  const V base = lad.level_base - V{};
+  const V lsb = lad.lsb - V{};
   std::size_t i = 0;
-  // Pattern-blocked path for the gen-1 4-lane converter starting on lane 0
-  // (the reset() state): four consecutive samples hit lanes 0..3, so each
-  // transposed ladder row compares 4-wide against the block with no
-  // per-sample horizontal reduction. Bit-identical to the scalar loop --
-  // same compares against the same float ladders, in a different order that
-  // never changes any per-sample count.
-  if (num_lanes == 4 && lane == 0) {
-    const float g0 = gains_f_[0], g1 = gains_f_[1], g2 = gains_f_[2], g3 = gains_f_[3];
-    const float o0 = offsets_f_[0], o1 = offsets_f_[1], o2 = offsets_f_[2],
-                o3 = offsets_f_[3];
-    const std::size_t rows = thr_rows_;
-    for (; i + 4 <= n; i += 4) {
-      const float v[4] = {g0 * x[i] + o0, g1 * x[i + 1] + o1, g2 * x[i + 2] + o2,
-                          g3 * x[i + 3] + o3};
-      std::int32_t code[4] = {};
-      const float* row = thr_t_.data();
-      for (std::size_t t = 0; t < rows; ++t, row += 4) {
-        for (int l = 0; l < 4; ++l) {
-          code[l] += static_cast<std::int32_t>(row[l] <= v[l]);
-        }
-      }
-      for (int l = 0; l < 4; ++l) {
-        levels[i + l] = level_base_f_ + static_cast<float>(code[l]) * lsb_f_;
-      }
+  for (; i + kW <= n; i += kW) {
+    V v;
+    simd::load(v, x + i);
+    v = gain * v + offset;
+    VI code = {};
+    const float* row = lad.thr_t;
+    for (std::size_t t = 0; t < lad.rows; ++t, row += lad.row_stride) {
+      V thr;
+      simd::load(thr, row);
+      code -= (thr <= v);  // a tripped comparator reads -1
     }
-    // lane stays 0 after each whole block of 4.
+    simd::store(levels + i, base + __builtin_convertvector(code, V) * lsb);
   }
-  for (; i < n; ++i) {
-    const float v = gains_f_[lane] * x[i] + offsets_f_[lane];
-    const float* thr = thr_f_[lane].data();
-    const std::size_t num_thr = thr_f_[lane].size();  // padded, multiple of 8
+  return i;
+}
+
+[[UWB_CLONE_PORTABLE]] std::size_t ladder_portable(const LadderRows& lad, const float* x,
+                                                   std::size_t n, float* levels) noexcept {
+  return ladder_blocks<4>(lad, x, n, levels);
+}
+
+#ifdef UWB_SIMD_X86
+[[UWB_CLONE_AVX2]] std::size_t ladder_avx2(const LadderRows& lad, const float* x,
+                                           std::size_t n, float* levels) noexcept {
+  return ladder_blocks<8>(lad, x, n, levels);
+}
+
+[[UWB_CLONE_AVX512]] std::size_t ladder_avx512(const LadderRows& lad, const float* x,
+                                               std::size_t n, float* levels) noexcept {
+  return ladder_blocks<16>(lad, x, n, levels);
+}
+#endif
+
+std::size_t ladder_on(Isa isa, const LadderRows& lad, const float* x, std::size_t n,
+                      float* levels) noexcept {
+  switch (isa) {
+#ifdef UWB_SIMD_X86
+    case Isa::kAvx512:
+      return ladder_avx512(lad, x, n, levels);
+    case Isa::kAvx2:
+      return ladder_avx2(lad, x, n, levels);
+#endif
+    default:
+      return ladder_portable(lad, x, n, levels);
+  }
+}
+
+}  // namespace
+
+}  // namespace uwb::adc
+
+namespace uwb::detail {
+
+void convert_block(adc::TimeInterleavedAdc& adc, Isa isa, const float* x, std::size_t n,
+                   float* levels) noexcept {
+  const std::size_t num_lanes = adc.lanes_.size();
+  std::size_t lane = adc.lane_;
+  const auto convert_one = [&](std::size_t i) {
+    const float v = adc.gains_f_[lane] * x[i] + adc.offsets_f_[lane];
+    const float* thr = adc.thr_f_[lane].data();
+    const std::size_t num_thr = adc.thr_f_[lane].size();  // padded, multiple of 8
     std::int32_t code = 0;
     for (std::size_t t = 0; t < num_thr; ++t) {
       code += static_cast<std::int32_t>(thr[t] <= v);
     }
-    levels[i] = level_base_f_ + static_cast<float>(code) * lsb_f_;
+    levels[i] = adc.level_base_f_ + static_cast<float>(code) * adc.lsb_f_;
     lane = (lane + 1) % num_lanes;
+  };
+  std::size_t i = 0;
+  // Pattern-blocked path for the gen-1 4-lane converter: once the rotation
+  // reaches lane 0, consecutive samples hit lanes 0..3 in turn, so whole
+  // blocks compare against the transposed ladder rows with no per-sample
+  // horizontal reduction. Same compares against the same float ladders as
+  // the per-sample loop, in an order that never changes any count.
+  if (num_lanes == 4) {
+    for (; i < n && lane != 0; ++i) convert_one(i);
+    const adc::LadderRows lad{adc.thr_t_.data(), adc.thr_rows_, adc.kBlockRow,
+                              adc.gains_row_.data(), adc.offsets_row_.data(),
+                              adc.level_base_f_, adc.lsb_f_};
+    i += adc::ladder_on(isa, lad, x + i, n - i, levels + i);  // lane stays 0
   }
+  for (; i < n; ++i) convert_one(i);
   if (n > 0) {
-    last_lane_used_ = static_cast<int>((lane + num_lanes - 1) % num_lanes);
+    adc.last_lane_used_ = static_cast<int>((lane + num_lanes - 1) % num_lanes);
   }
-  lane_ = lane;
+  adc.lane_ = lane;
 }
 
-}  // namespace uwb::adc
+}  // namespace uwb::detail

@@ -7,7 +7,23 @@
 #include <memory>
 
 #include "adc/quantizer.h"
+#include "common/isa.h"
 #include "common/rng.h"
+
+namespace uwb::adc {
+class TimeInterleavedAdc;
+}  // namespace uwb::adc
+
+namespace uwb::detail {
+
+/// TimeInterleavedAdc::convert_block(const float*, ...) with the ladder
+/// clone for \p isa forced instead of the host's choice, so tests can
+/// compare every clone's bytes with the portable one. \p isa must satisfy
+/// isa_supported().
+void convert_block(adc::TimeInterleavedAdc& adc, Isa isa, const float* x, std::size_t n,
+                   float* levels) noexcept;
+
+}  // namespace uwb::detail
 
 namespace uwb::adc {
 
@@ -75,7 +91,9 @@ class TimeInterleavedAdc final : public Adc {
   /// built once at construction; with a shared full scale the reconstruction
   /// levels +/-(c + 0.5) * lsb are exact in float for converter resolutions
   /// up to the dyadic limit, so only threshold-crossing samples can differ
-  /// from the double path.
+  /// from the double path. A 4-lane converter runs its ladder compares on
+  /// 4/8/16 samples at once (portable/AVX2/AVX-512, common/isa.h); every
+  /// level writes the bytes of the per-sample loop.
   void convert_block(const float* x, std::size_t n, float* levels) noexcept;
 
   void reset() noexcept override { lane_ = 0; }
@@ -102,11 +120,18 @@ class TimeInterleavedAdc final : public Adc {
   float level_base_f_ = 0.0f;  ///< level_of(0) = -full_scale + lsb/2
   float lsb_f_ = 0.0f;
   // Transposed ladder for the pattern-blocked 4-lane path: row t holds
-  // threshold t of every lane, so a block of num_lanes consecutive samples
-  // compares against contiguous unit-stride rows (vectorizes across the
-  // block instead of needing a horizontal reduction per sample).
+  // threshold t of lanes 0..3, repeated to kBlockRow entries, so a block of
+  // consecutive samples starting on lane 0 compares against one contiguous
+  // unit-stride row (vectorizes across the block instead of needing a
+  // horizontal reduction per sample). Gains and offsets repeat the same way.
+  static constexpr std::size_t kBlockRow = 16;
   std::vector<float> thr_t_;
+  std::vector<float> gains_row_;
+  std::vector<float> offsets_row_;
   std::size_t thr_rows_ = 0;  ///< unpadded ladder length (2^bits - 1)
+
+  friend void detail::convert_block(TimeInterleavedAdc& adc, Isa isa, const float* x,
+                                    std::size_t n, float* levels) noexcept;
 };
 
 }  // namespace uwb::adc

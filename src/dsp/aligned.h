@@ -13,6 +13,7 @@
 #include <cstring>
 #include <new>
 #include <utility>
+#include <vector>
 
 namespace uwb::dsp {
 
@@ -92,6 +93,34 @@ class AlignedVec {
   T* data_ = nullptr;
   std::size_t size_ = 0;
   std::size_t capacity_ = 0;
+};
+
+/// Per-call copy of real taps in a gather kernel's tap type, optionally
+/// reversed. Up to 256 taps live on the stack, so the hot path's pulse
+/// templates and anti-alias filters cost no allocation; longer kernels go
+/// to the heap. Not copyable: data() points into the object itself.
+template <typename T>
+class TapScratch {
+ public:
+  TapScratch(const double* h, std::size_t n, bool reversed) {
+    if (n > kStackTaps) {
+      heap_.resize(n);
+      data_ = heap_.data();
+    }
+    for (std::size_t m = 0; m < n; ++m) {
+      data_[m] = static_cast<T>(reversed ? h[n - 1 - m] : h[m]);
+    }
+  }
+  TapScratch(const TapScratch&) = delete;
+  TapScratch& operator=(const TapScratch&) = delete;
+
+  [[nodiscard]] const T* data() const noexcept { return data_; }
+
+ private:
+  static constexpr std::size_t kStackTaps = 256;
+  T stack_[kStackTaps] = {};
+  std::vector<T> heap_;
+  T* data_ = stack_;
 };
 
 }  // namespace uwb::dsp

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/simd.h"
+#include "dsp/aligned.h"
 #include "dsp/fast_convolve.h"
 
 namespace uwb::dsp {
@@ -55,44 +57,92 @@ std::size_t correlate_to(const float* x, std::size_t x_len, const RealVec& tmpl,
   const std::size_t num_lags = x_len - tmpl.size() + 1;
   // The float arena only matched-filters short pulse templates; stay on the
   // direct kernel unconditionally (no float overlap-save path exists).
-  constexpr std::size_t kMaxStackTaps = 256;
-  float stack_taps[kMaxStackTaps];
-  std::vector<float> heap_taps;
-  float* t = stack_taps;
-  if (tmpl.size() > kMaxStackTaps) {
-    heap_taps.resize(tmpl.size());
-    t = heap_taps.data();
-  }
-  for (std::size_t m = 0; m < tmpl.size(); ++m) t[m] = static_cast<float>(tmpl[m]);
-  dot_bank(x, num_lags, t, tmpl.size(), out);
+  const TapScratch<float> taps(tmpl.data(), tmpl.size(), /*reversed=*/false);
+  dot_bank(x, num_lags, taps.data(), tmpl.size(), out);
   return num_lags;
 }
 
 namespace {
 
-/// Shared blocked kernel: kBlock lags advance together, taps ascending, one
-/// independent accumulator per lag. The same lag count fills the same vector
-/// registers with twice the lanes in float, which is the whole point of the
-/// gen-1 single-precision arena.
-template <typename T, std::size_t kBlock>
-void dot_bank_impl(const T* x, std::size_t num_lags, const T* h, std::size_t h_len,
-                   T* out) noexcept {
-  std::size_t j = 0;
-  for (; j + kBlock <= num_lags; j += kBlock) {
-    T acc[kBlock] = {};
-    const T* xj = x + j;
-    for (std::size_t m = 0; m < h_len; ++m) {
-      const T hm = h[m];
-      for (std::size_t b = 0; b < kBlock; ++b) {
-        acc[b] += xj[m + b] * hm;
+/// Runs whole blocks of kAcc vectors of outputs from index \p j on; returns
+/// the first output index not written. Each lane is one output and owns its
+/// accumulator: out[k] = sum_m x[k + kStride*m] * h[m], taps ascending. The
+/// kAcc independent add chains per block hide the FP-add latency.
+template <std::size_t kBytes, std::size_t kAcc, std::size_t kStride, typename T>
+[[gnu::always_inline]] inline std::size_t dot_bank_blocks(const T* x, std::size_t j,
+                                                          std::size_t num_out, const T* h,
+                                                          std::size_t h_len, T* out) noexcept {
+  using V = typename simd::Vec<T, kBytes>::type;
+  constexpr std::size_t kW = kBytes / sizeof(T);
+  for (; j + kAcc * kW <= num_out; j += kAcc * kW) {
+    V acc[kAcc] = {};
+    const T* xm = x + j;
+    for (std::size_t m = 0; m < h_len; ++m, xm += kStride) {
+      const V hm = h[m] - V{};
+      for (std::size_t a = 0; a < kAcc; ++a) {
+        V xv;
+        simd::load(xv, xm + a * kW);
+        acc[a] += xv * hm;
       }
     }
-    for (std::size_t b = 0; b < kBlock; ++b) out[j + b] = acc[b];
+    for (std::size_t a = 0; a < kAcc; ++a) simd::store(out + j + a * kW, acc[a]);
   }
-  for (; j < num_lags; ++j) {
+  return j;
+}
+
+/// The one dot_bank body every clone compiles: wide blocks, then single
+/// vectors, then scalars for the last few outputs. All three tiers add the
+/// same products in the same order, so neither the block width nor the ISA
+/// changes a byte. kStride = 2 runs interleaved complex data against real
+/// taps (the real and imaginary parts are independent lanes).
+template <std::size_t kBytes, std::size_t kAcc, std::size_t kStride, typename T>
+[[gnu::always_inline]] inline void dot_bank_body(const T* x, std::size_t num_out, const T* h,
+                                                 std::size_t h_len, T* out) noexcept {
+  std::size_t j = dot_bank_blocks<kBytes, kAcc, kStride>(x, 0, num_out, h, h_len, out);
+  j = dot_bank_blocks<kBytes, 1, kStride>(x, j, num_out, h, h_len, out);
+  for (; j < num_out; ++j) {
     T acc{};
-    for (std::size_t m = 0; m < h_len; ++m) acc += x[j + m] * h[m];
+    for (std::size_t m = 0; m < h_len; ++m) acc += x[j + kStride * m] * h[m];
     out[j] = acc;
+  }
+}
+
+// Accumulator vectors per block: enough independent add chains to hide
+// the FP-add latency without spilling.
+constexpr std::size_t kAcc = 8;
+
+template <std::size_t kStride, typename T>
+[[UWB_CLONE_PORTABLE]] void dot_bank_portable(const T* x, std::size_t num_out, const T* h,
+                                              std::size_t h_len, T* out) noexcept {
+  dot_bank_body<16, kAcc, kStride>(x, num_out, h, h_len, out);
+}
+
+#ifdef UWB_SIMD_X86
+template <std::size_t kStride, typename T>
+[[UWB_CLONE_AVX2]] void dot_bank_avx2(const T* x, std::size_t num_out, const T* h,
+                                      std::size_t h_len, T* out) noexcept {
+  dot_bank_body<32, kAcc, kStride>(x, num_out, h, h_len, out);
+}
+
+template <std::size_t kStride, typename T>
+[[UWB_CLONE_AVX512]] void dot_bank_avx512(const T* x, std::size_t num_out, const T* h,
+                                          std::size_t h_len, T* out) noexcept {
+  dot_bank_body<64, kAcc, kStride>(x, num_out, h, h_len, out);
+}
+#endif
+
+template <std::size_t kStride, typename T>
+void dot_bank_on(Isa isa, const T* x, std::size_t num_out, const T* h, std::size_t h_len,
+                 T* out) noexcept {
+  switch (isa) {
+#ifdef UWB_SIMD_X86
+    case Isa::kAvx512:
+      return dot_bank_avx512<kStride>(x, num_out, h, h_len, out);
+    case Isa::kAvx2:
+      return dot_bank_avx2<kStride>(x, num_out, h, h_len, out);
+#endif
+    default:
+      return dot_bank_portable<kStride>(x, num_out, h, h_len, out);
   }
 }
 
@@ -100,16 +150,17 @@ void dot_bank_impl(const T* x, std::size_t num_lags, const T* h, std::size_t h_l
 
 void dot_bank(const double* x, std::size_t num_lags, const double* h, std::size_t h_len,
               double* out) noexcept {
-  // 32 lags per block: enough independent accumulator vectors to hide the
-  // FP-add latency chain (measured >2x over an 8-lag block on SSE2). Each
-  // lag still accumulates alone in ascending-tap order, so the block width
-  // never affects results.
-  dot_bank_impl<double, 32>(x, num_lags, h, h_len, out);
+  detail::dot_bank(host_isa(), x, num_lags, h, h_len, out);
 }
 
 void dot_bank(const float* x, std::size_t num_lags, const float* h, std::size_t h_len,
               float* out) noexcept {
-  dot_bank_impl<float, 32>(x, num_lags, h, h_len, out);
+  detail::dot_bank(host_isa(), x, num_lags, h, h_len, out);
+}
+
+void dot_bank(const cplx* x, std::size_t num_lags, const double* h, std::size_t h_len,
+              cplx* out) noexcept {
+  detail::dot_bank(host_isa(), x, num_lags, h, h_len, out);
 }
 
 RealVec normalized_correlation(const CplxVec& x, const CplxVec& tmpl) {
@@ -200,3 +251,25 @@ double dot(const double* x, const double* tmpl, std::size_t n) noexcept {
 }
 
 }  // namespace uwb::dsp
+
+namespace uwb::detail {
+
+void dot_bank(Isa isa, const double* x, std::size_t num_lags, const double* h,
+              std::size_t h_len, double* out) noexcept {
+  dsp::dot_bank_on<1>(isa, x, num_lags, h, h_len, out);
+}
+
+void dot_bank(Isa isa, const float* x, std::size_t num_lags, const float* h,
+              std::size_t h_len, float* out) noexcept {
+  dsp::dot_bank_on<1>(isa, x, num_lags, h, h_len, out);
+}
+
+void dot_bank(Isa isa, const cplx* x, std::size_t num_lags, const double* h,
+              std::size_t h_len, cplx* out) noexcept {
+  // std::complex<double> is layout-compatible with double[2]: the bank
+  // runs over the interleaved (re, im) doubles with tap stride 2.
+  dsp::dot_bank_on<2>(isa, reinterpret_cast<const double*>(x), 2 * num_lags, h, h_len,
+                      reinterpret_cast<double*>(out));
+}
+
+}  // namespace uwb::detail

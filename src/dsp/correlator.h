@@ -5,6 +5,7 @@
 
 #include <cstddef>
 
+#include "common/isa.h"
 #include "common/types.h"
 
 namespace uwb::dsp {
@@ -32,17 +33,25 @@ std::size_t correlate_to(const double* x, std::size_t x_len, const RealVec& tmpl
 std::size_t correlate_to(const float* x, std::size_t x_len, const RealVec& tmpl, float* out);
 
 /// Bank of sliding dot products: out[j] = sum_m x[j+m] * h[m] for
-/// j in [0, num_lags). Blocked over lags with per-lag ascending-tap
-/// accumulation -- bit-identical to calling dot() per lag, but the fixed
-/// 8-wide lag block auto-vectorizes. The hot kernel under correlate() and
-/// the direct path of convolve_same_to().
+/// j in [0, num_lags). The hot kernel under correlate(), correlate_to() and
+/// the direct path of convolve_same_to(). Each output accumulates alone in
+/// ascending-tap order -- bit-identical to calling dot() per lag -- while
+/// blocks of lags fill the vector registers. The kernel is compiled once
+/// per ISA level (common/isa.h) and runs the host's widest; every level
+/// writes the same bytes.
 void dot_bank(const double* x, std::size_t num_lags, const double* h, std::size_t h_len,
               double* out) noexcept;
 
-/// Single-precision bank: same blocked kernel at twice the SIMD width (the
-/// 16-wide lag block fills the same vector registers with float lanes).
+/// Single-precision bank: same kernel, twice the lanes per vector.
 void dot_bank(const float* x, std::size_t num_lags, const float* h, std::size_t h_len,
               float* out) noexcept;
+
+/// Complex samples against real taps: out[j] = sum_m x[j+m] * h[m], the
+/// real and imaginary parts each accumulated in ascending-tap order exactly
+/// as the scalar complex-times-real sum does. Runs the same kernel with a
+/// tap stride of 2 over the interleaved (re, im) doubles.
+void dot_bank(const cplx* x, std::size_t num_lags, const double* h, std::size_t h_len,
+              cplx* out) noexcept;
 
 /// Normalized correlation magnitude in [0, 1]:
 /// |corr| / (||window|| * ||template||), robust to received power.
@@ -94,3 +103,17 @@ class IntegrateAndDump {
 };
 
 }  // namespace uwb::dsp
+
+namespace uwb::detail {
+
+/// dsp::dot_bank with the clone for \p isa forced instead of the host's
+/// choice, so tests can compare every clone's bytes with the portable one.
+/// \p isa must satisfy isa_supported().
+void dot_bank(Isa isa, const double* x, std::size_t num_lags, const double* h,
+              std::size_t h_len, double* out) noexcept;
+void dot_bank(Isa isa, const float* x, std::size_t num_lags, const float* h,
+              std::size_t h_len, float* out) noexcept;
+void dot_bank(Isa isa, const cplx* x, std::size_t num_lags, const double* h,
+              std::size_t h_len, cplx* out) noexcept;
+
+}  // namespace uwb::detail

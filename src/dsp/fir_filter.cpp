@@ -1,7 +1,9 @@
 #include "dsp/fir_filter.h"
 
 #include <algorithm>
+#include <type_traits>
 
+#include "dsp/aligned.h"
 #include "dsp/correlator.h"
 #include "dsp/fast_convolve.h"
 
@@ -74,25 +76,20 @@ RealVec convolve_same(const RealVec& x, const RealVec& h) {
 
 namespace {
 
-/// Direct "same"-mode kernel shared by the double and float entry points.
-/// Gather form over reversed taps: the scatter full convolution adds
+/// Direct "same"-mode kernel shared by the real, float and complex entry
+/// points. Gather form over reversed taps: the scatter full convolution adds
 /// x[i]*h[k] in ascending-i order, which for a fixed output is descending-k
 /// -- i.e. ascending over the reversed kernel. Accumulating that way keeps
-/// every double output bit-identical to convolve_same() while the interior
-/// runs contiguous-stride through dot_bank's vectorized lag blocks.
+/// every double and complex output bit-identical to the scatter form while
+/// the interior runs contiguous-stride through dot_bank's vector blocks.
+/// Taps are T for real samples and double for complex ones.
 template <typename T>
 void convolve_same_direct(const T* x, std::size_t x_len, const RealVec& h, T* y) {
+  using Tap = std::conditional_t<std::is_same_v<T, cplx>, double, T>;
   const std::size_t h_len = h.size();
   const std::size_t start = (h_len - 1) / 2;
-  constexpr std::size_t kMaxStackTaps = 256;
-  T stack_taps[kMaxStackTaps];
-  std::vector<T> heap_taps;
-  T* r = stack_taps;
-  if (h_len > kMaxStackTaps) {
-    heap_taps.resize(h_len);
-    r = heap_taps.data();
-  }
-  for (std::size_t m = 0; m < h_len; ++m) r[m] = static_cast<T>(h[h_len - 1 - m]);
+  const TapScratch<Tap> taps(h.data(), h_len, /*reversed=*/true);
+  const Tap* r = taps.data();
 
   const auto n = static_cast<std::ptrdiff_t>(x_len);
   const auto edge_out = [&](std::size_t j) {
@@ -141,7 +138,12 @@ void convolve_same_to(const float* x, std::size_t x_len, const RealVec& h, float
 
 CplxVec convolve_same(const CplxVec& x, const RealVec& h) {
   if (x.empty() || h.empty()) return {};
-  return take_same(convolve(x, h), x.size(), h.size());
+  if (use_fft_convolve(x.size(), h.size(), ConvKind::kCplxReal)) {
+    return take_same(convolve(x, h), x.size(), h.size());
+  }
+  CplxVec y(x.size());
+  convolve_same_direct(x.data(), x.size(), h, y.data());
+  return y;
 }
 
 RealWaveform filter_same(const RealWaveform& x, const RealVec& taps) {

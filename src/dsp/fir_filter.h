@@ -91,7 +91,10 @@ void convolve_same_to(const double* x, std::size_t x_len, const RealVec& h, doub
 /// below the FFT crossover. Taps are converted to float once per call.
 void convolve_same_to(const float* x, std::size_t x_len, const RealVec& h, float* y);
 
-/// "Same"-mode convolution for complex input with real kernel.
+/// "Same"-mode convolution for complex input with real kernel. The direct
+/// path gathers through the complex dot_bank (tap stride 2 over the
+/// interleaved samples), bit-identical to the "same" window of the scatter
+/// full convolution; FFT-worthy kernels take the overlap-save engine.
 CplxVec convolve_same(const CplxVec& x, const RealVec& h);
 
 /// Filters a waveform with a FIR in "same" mode, preserving the sample rate.

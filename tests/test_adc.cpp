@@ -3,9 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <iostream>
+#include <string>
+#include <vector>
 
 #include "common/error.h"
+#include "common/isa.h"
 #include "adc/flash_adc.h"
 #include "adc/quantizer.h"
 #include "adc/sampling.h"
@@ -163,6 +169,95 @@ TEST(TimeInterleaved, ResetRestartsLaneZero) {
   (void)adc.convert(0.3);
   adc.reset();
   EXPECT_EQ(adc.convert(0.3), first);
+}
+
+/// Level of one sample \p v converted on lane \p lane, through the
+/// per-sample path (single-sample calls never form a block).
+float level_on_lane(TimeInterleavedAdc& adc, std::size_t lane, float v) {
+  float out = 0.0f;
+  adc.reset();
+  for (std::size_t k = 0; k <= lane; ++k) adc.convert_block(&v, 1, &out);
+  return out;
+}
+
+/// Float inputs right at lane \p lane's comparator crossings: for every
+/// level step in [-1.25, 1.25], the last float below it, the first at or
+/// above it, and their outer neighbours. Here a*b + c rounded once (a fused
+/// multiply-add) and rounded twice can fall on different sides of a
+/// threshold, so a contracted clone shows up as a changed level.
+std::vector<float> crossings_on_lane(TimeInterleavedAdc& adc, std::size_t lane) {
+  std::vector<float> out;
+  const int kGrid = 4096;
+  float prev = -1.25f;
+  for (int g = 1; g <= kGrid; ++g) {
+    const auto next = static_cast<float>(-1.25 + 2.5 * g / kGrid);
+    if (level_on_lane(adc, lane, prev) != level_on_lane(adc, lane, next)) {
+      float lo = prev, hi = next;
+      while (true) {
+        const auto mid = static_cast<float>((static_cast<double>(lo) + hi) / 2.0);
+        if (mid == lo || mid == hi) break;
+        (level_on_lane(adc, lane, mid) == level_on_lane(adc, lane, lo) ? lo : hi) = mid;
+      }
+      out.insert(out.end(), {std::nextafter(lo, -2.0f), lo, hi, std::nextafter(hi, 2.0f)});
+    }
+    prev = next;
+  }
+  return out;
+}
+
+// ISA dispatch: every ladder clone of the float block converter writes the
+// bytes of the per-sample loop, from any start lane and for any length.
+TEST(TimeInterleaved, FloatBlockClonesMatchPerSampleLoop) {
+  std::vector<Isa> isas;
+  for (const Isa isa : kAllIsas) {
+    if (isa_supported(isa)) {
+      isas.push_back(isa);
+    } else {
+      std::cout << "[ SKIPPED ISA ] " << isa_name(isa) << ": not supported by this host\n";
+      RecordProperty(std::string("skipped_isa_") + isa_name(isa), "unsupported");
+    }
+  }
+  Rng rng(12);
+  FlashParams lane;
+  lane.bits = 4;
+  lane.comparator_offset_sigma = 0.3;
+  TimeInterleavedAdc adc(4, lane, InterleaveMismatch{0.02, 0.01, 0.0}, rng);
+
+  // Sample i lands on lane i % 4 from start lane 0: feed each lane its own
+  // crossings, then signed zeros, overloads and plain noise.
+  std::vector<std::vector<float>> per_lane;
+  std::size_t longest = 0;
+  for (std::size_t l = 0; l < 4; ++l) {
+    per_lane.push_back(crossings_on_lane(adc, l));
+    longest = std::max(longest, per_lane.back().size());
+  }
+  std::vector<float> x;
+  for (std::size_t k = 0; k < longest; ++k) {
+    for (std::size_t l = 0; l < 4; ++l) {
+      x.push_back(k < per_lane[l].size() ? per_lane[l][k] : 0.0f);
+    }
+  }
+  ASSERT_GE(x.size(), 4u * 15u * 4u);  // every lane has its 15 steps
+  for (const float v : {-0.0f, 0.0f, 2.5f, -2.5f}) x.push_back(v);
+  while (x.size() % 16 != 7) x.push_back(static_cast<float>(rng.gaussian(0.0, 0.5)));
+
+  for (const std::size_t start_lane : {0, 1, 3}) {
+    for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{3}, std::size_t{4},
+                                std::size_t{17}, x.size() - 4}) {
+      std::vector<float> ref(n + 1), got(n + 1), lead(start_lane);
+      adc.reset();
+      adc.convert_block(x.data(), start_lane, lead.data());
+      for (std::size_t i = 0; i <= n; ++i) adc.convert_block(x.data() + i, 1, ref.data() + i);
+      for (const Isa isa : isas) {
+        adc.reset();
+        adc.convert_block(x.data(), start_lane, lead.data());
+        detail::convert_block(adc, isa, x.data(), n, got.data());
+        adc.convert_block(x.data() + n, 1, got.data() + n);  // lane state carried on
+        EXPECT_EQ(std::memcmp(got.data(), ref.data(), (n + 1) * sizeof(float)), 0)
+            << isa_name(isa) << ", start lane " << start_lane << ", n " << n;
+      }
+    }
+  }
 }
 
 // ------------------------------------------------------------------ sar ----

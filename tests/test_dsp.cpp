@@ -4,8 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <iostream>
+#include <string>
 
 #include "common/error.h"
+#include "common/isa.h"
 #include "common/math_utils.h"
 #include "common/rng.h"
 #include "dsp/biquad.h"
@@ -651,6 +655,135 @@ TEST(Correlator, IntegrateAndDump) {
     }
   }
   EXPECT_EQ(dumps, 2);
+}
+
+// --------------------------------------------------------- ISA dispatch ----
+// Every dispatched clone must write the portable clone's bytes. Golden
+// digests cannot show this: a few-trial BER digest does not see ulp drift.
+
+/// The non-portable ISAs this host runs; prints and records the skipped ones.
+std::vector<Isa> wide_isas_or_report_skips() {
+  std::vector<Isa> run;
+  std::string skipped;
+  for (const Isa isa : kAllIsas) {
+    if (isa == Isa::kPortable) continue;
+    if (isa_supported(isa)) {
+      run.push_back(isa);
+    } else {
+      std::cout << "[ SKIPPED ISA ] " << isa_name(isa) << ": not supported by this host\n";
+      skipped += skipped.empty() ? isa_name(isa) : std::string(",") + isa_name(isa);
+    }
+  }
+  if (!skipped.empty()) ::testing::Test::RecordProperty("skipped_isas", skipped);
+  return run;
+}
+
+/// Index of the first element whose bytes differ, or n when all match.
+template <typename T>
+std::size_t first_byte_mismatch(const T* a, const T* b, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    if (std::memcmp(a + i, b + i, sizeof(T)) != 0) return i;
+  }
+  return n;
+}
+
+/// Gaussian samples salted with signed zeros, so sign-of-zero handling
+/// is part of the byte comparison.
+RealVec salted_real(Rng& rng, std::size_t n) {
+  RealVec v = random_real(rng, n);
+  for (std::size_t i = 0; i < n; i += 7) v[i] = (i % 2 == 0) ? -0.0 : 0.0;
+  return v;
+}
+
+const std::size_t kIsaLagCounts[] = {1, 7, 31, 33, 131, 1000, 4099};
+const std::size_t kIsaTapCounts[] = {1, 63, 257};
+
+TEST(IsaDispatch, DotBankClonesMatchPortableBytes) {
+  const std::vector<Isa> wide = wide_isas_or_report_skips();
+  Rng rng(90);
+  for (const std::size_t h_len : kIsaTapCounts) {
+    for (const std::size_t lags : kIsaLagCounts) {
+      const RealVec x = salted_real(rng, lags + h_len - 1);
+      RealVec h = salted_real(rng, h_len);
+      h[h_len / 2] = -0.0;
+      const std::vector<float> xf(x.begin(), x.end());
+      const std::vector<float> hf(h.begin(), h.end());
+      const CplxVec xc = random_cplx(rng, lags + h_len - 1);
+
+      RealVec ref(lags);
+      std::vector<float> ref_f(lags);
+      CplxVec ref_c(lags);
+      detail::dot_bank(Isa::kPortable, x.data(), lags, h.data(), h_len, ref.data());
+      detail::dot_bank(Isa::kPortable, xf.data(), lags, hf.data(), h_len, ref_f.data());
+      detail::dot_bank(Isa::kPortable, xc.data(), lags, h.data(), h_len, ref_c.data());
+      const std::string where = std::to_string(lags) + " lags x " + std::to_string(h_len);
+
+      // The portable clone itself is the per-lag ascending-tap scalar sum.
+      for (std::size_t j = 0; j < lags; ++j) {
+        float acc_f = 0.0f;
+        cplx acc_c{};
+        for (std::size_t m = 0; m < h_len; ++m) {
+          acc_f += xf[j + m] * hf[m];
+          acc_c += xc[j + m] * h[m];
+        }
+        const double acc = dot(x.data() + j, h.data(), h_len);
+        ASSERT_EQ(std::memcmp(&ref[j], &acc, sizeof acc), 0) << where << " @" << j;
+        ASSERT_EQ(std::memcmp(&ref_f[j], &acc_f, sizeof acc_f), 0) << where << " @" << j;
+        ASSERT_EQ(std::memcmp(&ref_c[j], &acc_c, sizeof acc_c), 0) << where << " @" << j;
+      }
+      // correlate_to converts the double taps (on the heap above 256 taps).
+      std::vector<float> via_corr(lags);
+      correlate_to(xf.data(), xf.size(), h, via_corr.data());
+      ASSERT_EQ(first_byte_mismatch(via_corr.data(), ref_f.data(), lags), lags) << where;
+
+      for (const Isa isa : wide) {
+        RealVec out(lags);
+        std::vector<float> out_f(lags);
+        CplxVec out_c(lags);
+        detail::dot_bank(isa, x.data(), lags, h.data(), h_len, out.data());
+        detail::dot_bank(isa, xf.data(), lags, hf.data(), h_len, out_f.data());
+        detail::dot_bank(isa, xc.data(), lags, h.data(), h_len, out_c.data());
+        EXPECT_EQ(first_byte_mismatch(out.data(), ref.data(), lags), lags)
+            << isa_name(isa) << " double, " << where;
+        EXPECT_EQ(first_byte_mismatch(out_f.data(), ref_f.data(), lags), lags)
+            << isa_name(isa) << " float, " << where;
+        EXPECT_EQ(first_byte_mismatch(out_c.data(), ref_c.data(), lags), lags)
+            << isa_name(isa) << " complex, " << where;
+      }
+    }
+  }
+}
+
+/// The scatter "same"-mode convolution the complex direct path used to run
+/// (full convolution, then the centred window): the byte reference.
+CplxVec scatter_convolve_same(const CplxVec& x, const RealVec& h) {
+  CplxVec full(x.size() + h.size() - 1, cplx{});
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    for (std::size_t k = 0; k < h.size(); ++k) full[i + k] += x[i] * h[k];
+  }
+  const auto start = static_cast<std::ptrdiff_t>((h.size() - 1) / 2);
+  return CplxVec(full.begin() + start, full.begin() + start + static_cast<std::ptrdiff_t>(x.size()));
+}
+
+TEST(IsaDispatch, ComplexConvolveSameMatchesScatterBytes) {
+  const FastConvolveGuard direct_only(false);
+  Rng rng(91);
+  // Odd and even tap counts, h longer than x, and interiors that are not a
+  // whole number of vector blocks.
+  const std::pair<std::size_t, std::size_t> sizes[] = {
+      {1, 1},    {1, 2},     {5, 63},    {62, 63},  {63, 63},  {64, 64},
+      {100, 8},  {257, 63},  {1000, 63}, {1001, 64}, {4099, 257}, {30, 257},
+  };
+  for (const auto& [nx, nh] : sizes) {
+    CplxVec x = random_cplx(rng, nx);
+    RealVec h = salted_real(rng, nh);
+    for (std::size_t i = 0; i < nx; i += 5) x[i] = cplx(-0.0, (i % 2 == 0) ? 0.0 : -0.0);
+    const CplxVec ref = scatter_convolve_same(x, h);
+    const CplxVec got = convolve_same(x, h);
+    ASSERT_EQ(got.size(), ref.size());
+    EXPECT_EQ(first_byte_mismatch(got.data(), ref.data(), ref.size()), ref.size())
+        << nx << " x " << nh << " on " << isa_name(host_isa());
+  }
 }
 
 // ------------------------------------------------------------ resampler ----
