@@ -3,10 +3,11 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <random>
+#include <span>
 
 #include "common/error.h"
 #include "common/math_utils.h"
+#include "common/simd.h"
 #include "obs/profile.h"
 
 namespace uwb::channel {
@@ -22,7 +23,7 @@ namespace {
 // 2000) accepts ~98.8% of draws with one engine call, one table lookup and
 // one compare -- same exact N(0,1) law, ~5x faster.
 //
-// Draws here consume the same mt19937_64 engine as Rng::gaussian but with a
+// Draws here consume the same engine (Mt64Block) as Rng::gaussian but with a
 // different consumption pattern, so AWGN realizations differ from the polar
 // sampler's; every draw is still a pure function of the trial's forked seed,
 // which is all the engine's byte-identity guarantees require. Rng::gaussian
@@ -54,14 +55,14 @@ const ZigguratTables& zig_tables() {
   return tables;
 }
 
-inline double uniform01(std::mt19937_64& eng) {
+inline double uniform01(Mt64Block& eng) {
   return static_cast<double>(eng() >> 11) * 0x1.0p-53;
 }
 
 /// One standard-normal draw. Hot path: single engine call, layer index from
 /// the low 8 bits, sign from bit 8, a 52-bit mantissa as the in-layer
 /// uniform, and one compare against the next layer's edge.
-double zig_normal(std::mt19937_64& eng, const ZigguratTables& t) {
+double zig_normal(Mt64Block& eng, const ZigguratTables& t) {
   while (true) {
     const std::uint64_t u = eng();
     const int i = static_cast<int>(u & 255u);
@@ -85,14 +86,119 @@ double zig_normal(std::mt19937_64& eng, const ZigguratTables& t) {
   }
 }
 
+// ---- Blocked fast path -----------------------------------------------------
+//
+// The double overloads read their words straight from the engine's buffer,
+// kBlock at a time, and run the one-compare hot path on all of them at once.
+// The outputs of the leading accepted draws are added and their words
+// skipped; at the first miss, one scalar zig_normal draw (wedge and tail
+// included) consumes the missed word and the next block starts after it.
+// Every draw thus sees the word, operations and order of the scalar loop
+// `x[k] += sigma * zig_normal(eng, t)`:
+// - the in-layer uniform (u >> 12) * 2^-52 is formed as
+//   bit_cast<double>(0x3FF0000000000000 | u >> 12) - 1.0, the same value
+//   exactly, and one that vectorizes without AVX-512DQ's int64 conversion;
+// - the sign is XOR-ed into the top bit, which equals sign * cand for the
+//   hot path's cand >= 0 (+0 included);
+// - the clones pin fp-contract=off, so sigma * z + x[k] stays two roundings.
+
+constexpr std::size_t kBlock = 8;
+
+/// Runs the hot path on the kBlock draws whose words start at \p u and adds
+/// the sigma-scaled outputs of the leading draws it accepts to x[0..);
+/// returns how many it accepted (kBlock when none missed).
+template <std::size_t kBytes>
+[[gnu::always_inline]] inline std::size_t zig_block(double* x, const std::uint64_t* u,
+                                                    double sigma,
+                                                    const ZigguratTables& t) noexcept {
+  using VD = typename simd::Vec<double, kBytes>::type;
+  using VU = typename simd::Vec<std::uint64_t, kBytes>::type;
+  using VI = typename simd::Vec<std::int64_t, kBytes>::type;
+  constexpr std::size_t kW = kBytes / sizeof(double);
+  constexpr std::size_t kVecs = kBlock / kW;
+  static_assert(kBlock % kW == 0);
+  VD z[kVecs];
+  VI miss[kVecs];
+  VI any_miss = {};
+  for (std::size_t v = 0; v < kVecs; ++v) {
+    VU w;
+    simd::load(w, u + v * kW);
+    VD edge;
+    VD next_edge;
+    for (std::size_t l = 0; l < kW; ++l) {
+      edge[l] = t.x[w[l] & 255u];
+      next_edge[l] = t.x[(w[l] & 255u) + 1];
+    }
+    const VD ux = reinterpret_cast<VD>((w >> 12) | 0x3FF0000000000000ULL) - 1.0;
+    const VD cand = ux * edge;
+    miss[v] = ~(cand < next_edge);
+    any_miss |= miss[v];
+    z[v] = reinterpret_cast<VD>(reinterpret_cast<VU>(cand) ^ ((w & 256u) << 55));
+  }
+  bool all = true;
+  for (std::size_t l = 0; l < kW; ++l) all &= any_miss[l] == 0;
+  if (all) [[likely]] {
+    for (std::size_t v = 0; v < kVecs; ++v) {
+      VD xv;
+      simd::load(xv, x + v * kW);
+      xv += sigma * z[v];
+      simd::store(x + v * kW, xv);
+    }
+    return kBlock;
+  }
+  std::size_t j = 0;
+  for (std::size_t v = 0; v < kVecs; ++v) {
+    for (std::size_t l = 0; l < kW; ++l, ++j) {
+      if (miss[v][l] != 0) return j;
+      x[j] += sigma * z[v][l];
+    }
+  }
+  return j;
+}
+
+/// Adds sigma * N(0,1) to x[0..n), one draw per element in order.
+template <std::size_t kBytes>
+[[gnu::always_inline]] inline void add_awgn_body(double* x, std::size_t n, double sigma,
+                                                 Mt64Block& eng, const ZigguratTables& t) {
+  std::size_t k = 0;
+  while (k + kBlock <= n) {
+    const std::span<const std::uint64_t> words = eng.buffered();
+    if (words.size() >= kBlock) {
+      const std::size_t accepted = zig_block<kBytes>(x + k, words.data(), sigma, t);
+      eng.skip(accepted);
+      k += accepted;
+      if (accepted == kBlock) continue;
+    }
+    x[k++] += sigma * zig_normal(eng, t);
+  }
+  for (; k < n; ++k) x[k] += sigma * zig_normal(eng, t);
+}
+
+[[UWB_CLONE_PORTABLE]] void add_awgn_portable(double* x, std::size_t n, double sigma,
+                                              Mt64Block& eng, const ZigguratTables& t) {
+  add_awgn_body<16>(x, n, sigma, eng, t);
+}
+
+#ifdef UWB_SIMD_X86
+[[UWB_CLONE_AVX2]] void add_awgn_avx2(double* x, std::size_t n, double sigma, Mt64Block& eng,
+                                      const ZigguratTables& t) {
+  add_awgn_body<32>(x, n, sigma, eng, t);
+}
+
+[[UWB_CLONE_AVX512]] void add_awgn_avx512(double* x, std::size_t n, double sigma,
+                                          Mt64Block& eng, const ZigguratTables& t) {
+  add_awgn_body<64>(x, n, sigma, eng, t);
+}
+#endif
+
 // ---- Single-precision ziggurat on a xoshiro256++ stream -------------------
 //
-// The float arena's noise budget is dominated by the uniform generator:
-// mt19937_64 costs ~6 ns per 64-bit draw, which caps even a free normal
-// sampler near the old path's cost. xoshiro256++ generates a 64-bit word in
-// ~1 ns, and each word feeds TWO float ziggurat draws (32 bits each: 8-bit
+// The float arena's noise budget is dominated by the uniform generator.
+// xoshiro256++ generates a 64-bit word in ~1 ns from 32 bytes of state,
+// and each word feeds TWO float ziggurat draws (32 bits each: 8-bit
 // layer index, sign bit, 23-bit in-layer mantissa). Seeded per call from one
-// mt19937_64 draw, the stream is a pure function of the trial seed.
+// word of the trial's Mt64Block, the stream is a pure function of the trial
+// seed.
 
 struct Xoshiro256pp {
   std::uint64_t s[4];
@@ -217,24 +323,17 @@ void add_awgn(CplxVec& x, double n0, Rng& rng) {
   detail::require(n0 >= 0.0, "add_awgn: N0 must be non-negative");
   if (n0 == 0.0) return;
   const obs::StageTimer timer(obs::Stage::kChannelNoise, x.size());
-  const double sigma = std::sqrt(n0 / 2.0);
-  const ZigguratTables& t = zig_tables();
-  std::mt19937_64& eng = rng.engine();
-  for (auto& v : x) {
-    const double re = sigma * zig_normal(eng, t);
-    const double im = sigma * zig_normal(eng, t);
-    v += cplx{re, im};
-  }
+  // Draw 2k is sample k's real part and 2k + 1 its imaginary part, and
+  // cplx += adds per rail, so the samples are 2n consecutive doubles.
+  detail::add_awgn(host_isa(), reinterpret_cast<double*>(x.data()), 2 * x.size(),
+                   std::sqrt(n0 / 2.0), rng);
 }
 
 void add_awgn(RealVec& x, double n0, Rng& rng) {
   detail::require(n0 >= 0.0, "add_awgn: N0 must be non-negative");
   if (n0 == 0.0) return;
   const obs::StageTimer timer(obs::Stage::kChannelNoise, x.size());
-  const double sigma = std::sqrt(n0 / 2.0);
-  const ZigguratTables& t = zig_tables();
-  std::mt19937_64& eng = rng.engine();
-  for (auto& v : x) v += sigma * zig_normal(eng, t);
+  detail::add_awgn(host_isa(), x.data(), x.size(), std::sqrt(n0 / 2.0), rng);
 }
 
 void add_awgn(CplxWaveform& x, double n0, Rng& rng) { add_awgn(x.samples(), n0, rng); }
@@ -257,3 +356,21 @@ double energy_per_bit(const RealWaveform& x, std::size_t num_bits) {
 }
 
 }  // namespace uwb::channel
+
+namespace uwb::detail {
+
+void add_awgn(Isa isa, double* x, std::size_t n, double sigma, Rng& rng) {
+  const channel::ZigguratTables& t = channel::zig_tables();
+  switch (isa) {
+#ifdef UWB_SIMD_X86
+    case Isa::kAvx512:
+      return channel::add_awgn_avx512(x, n, sigma, rng.engine(), t);
+    case Isa::kAvx2:
+      return channel::add_awgn_avx2(x, n, sigma, rng.engine(), t);
+#endif
+    default:
+      return channel::add_awgn_portable(x, n, sigma, rng.engine(), t);
+  }
+}
+
+}  // namespace uwb::detail

@@ -10,9 +10,23 @@
 /// N0/2 on its decision rail and BER_BPSK = Q(sqrt(2 Eb/N0)), matching the
 /// textbook curves the benches compare against.
 
+#include <cstddef>
+
+#include "common/isa.h"
 #include "common/rng.h"
 #include "common/types.h"
 #include "common/waveform.h"
+
+namespace uwb::detail {
+
+/// Adds sigma * N(0,1) to x[0..n) in place, one ziggurat draw from \p rng per
+/// element in order, with the blocked clone for \p isa forced instead of the
+/// host's choice (tests compare each clone with the scalar loop). The double
+/// add_awgn overloads run this on the host's clone. \p isa must satisfy
+/// isa_supported().
+void add_awgn(Isa isa, double* x, std::size_t n, double sigma, Rng& rng);
+
+}  // namespace uwb::detail
 
 namespace uwb::channel {
 

@@ -7,16 +7,84 @@
 /// a 64-bit seed. There is no global RNG state, so any experiment is exactly
 /// reproducible from its printed seed.
 
+#include <cstddef>
 #include <cstdint>
 #include <random>
+#include <span>
 
+#include "common/isa.h"
 #include "common/types.h"
 
 namespace uwb {
 
+class Mt64Block;
+
+namespace detail {
+
+/// Mt64Block's refill with the clone for \p isa forced instead of the
+/// host's choice, so tests can check every clone against std::mt19937_64.
+/// \p isa must satisfy isa_supported().
+void refill(Mt64Block& eng, Isa isa) noexcept;
+
+}  // namespace detail
+
+/// std::mt19937_64's exact output sequence, generated a block at a time.
+///
+/// Each refill runs the 312-word twist over the whole state and tempers every
+/// new word into a buffer, so a draw is one buffered load. The refill is
+/// integer-only and compiled once per ISA level (common/isa.h); every level
+/// writes the same words. It meets the same UniformRandomBitGenerator
+/// contract as std::mt19937_64 (result_type, min and max included), so every
+/// std:: distribution returns the same values on either engine. A copy taken
+/// mid-block continues the same stream.
+class Mt64Block {
+ public:
+  using result_type = std::uint64_t;
+  static constexpr std::size_t kWords = 312;  ///< state words = words per refill
+
+  /// Seeds exactly as std::mt19937_64(seed) does.
+  explicit Mt64Block(result_type seed) noexcept {
+    state_[0] = seed;
+    for (std::size_t i = 1; i < kWords; ++i) {
+      const result_type prev = state_[i - 1];
+      state_[i] = 6364136223846793005ULL * (prev ^ (prev >> 62)) + i;
+    }
+  }
+
+  static constexpr result_type min() noexcept { return 0; }
+  static constexpr result_type max() noexcept { return ~result_type{0}; }
+
+  result_type operator()() noexcept {
+    if (pos_ == kWords) refill();
+    return out_[pos_++];
+  }
+
+  /// The buffered words not yet drawn, in draw order; refills first when the
+  /// buffer is spent, so the span is never empty. Consume a prefix with skip().
+  [[nodiscard]] std::span<const result_type> buffered() noexcept {
+    if (pos_ == kWords) refill();
+    return {out_ + pos_, kWords - pos_};
+  }
+
+  /// Consumes the next \p k words; \p k must not exceed buffered().size().
+  void skip(std::size_t k) noexcept { pos_ += k; }
+
+ private:
+  void refill() noexcept;  // the host's clone
+
+  result_type state_[kWords];  ///< untempered state, twisted in place
+  /// Tempered words of the latest twist; zeroed so that copying an engine
+  /// that has not drawn yet reads no indeterminate values.
+  result_type out_[kWords] = {};
+  std::size_t pos_ = kWords;  ///< next word of out_ to draw
+
+  friend void detail::refill(Mt64Block& eng, Isa isa) noexcept;
+};
+
 /// Seeded pseudo-random generator with the distributions the library needs.
 ///
-/// Wraps std::mt19937_64. Distinct subsystems should derive their own child
+/// Draws from Mt64Block, which emits std::mt19937_64's exact sequence, through
+/// the std:: distributions. Distinct subsystems should derive their own child
 /// generators via fork() so that adding draws in one block never perturbs
 /// another block's stream.
 class Rng {
@@ -81,10 +149,10 @@ class Rng {
   }
 
   /// Access to the underlying engine for std:: distributions.
-  std::mt19937_64& engine() noexcept { return engine_; }
+  Mt64Block& engine() noexcept { return engine_; }
 
  private:
-  std::mt19937_64 engine_;
+  Mt64Block engine_;
   uint64_t seed_;
   std::uniform_real_distribution<double> unif_{0.0, 1.0};
   std::normal_distribution<double> norm_{0.0, 1.0};

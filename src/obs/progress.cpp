@@ -72,7 +72,11 @@ void ProgressMeter::begin_run(std::size_t total_points) {
 
 void ProgressMeter::begin_point(std::size_t index, const std::string& label) {
   std::lock_guard<std::mutex> lock(mutex_);
-  label_ = "#" + std::to_string(index) + " " + label;
+  label_.clear();
+  label_ += '#';
+  label_ += std::to_string(index);
+  label_ += ' ';
+  label_ += label;
 }
 
 void ProgressMeter::end_run() {

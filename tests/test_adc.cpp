@@ -6,8 +6,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <iostream>
-#include <string>
 #include <vector>
 
 #include "common/error.h"
@@ -18,6 +16,7 @@
 #include "adc/sar_adc.h"
 #include "common/math_utils.h"
 #include "common/rng.h"
+#include "isa_clones.h"
 
 namespace uwb::adc {
 namespace {
@@ -101,7 +100,9 @@ TEST(FlashAdc, OffsetsPerturbThresholds) {
   bool any_moved = false;
   const double lsb = 2.0 / 16.0;
   for (std::size_t k = 0; k < th.size(); ++k) {
-    if (k > 0) EXPECT_GE(th[k], th[k - 1]);
+    if (k > 0) {
+      EXPECT_GE(th[k], th[k - 1]);
+    }
     const double nominal = -1.0 + static_cast<double>(k + 1) * lsb;
     if (std::abs(th[k] - nominal) > 1e-6) any_moved = true;
   }
@@ -208,15 +209,7 @@ std::vector<float> crossings_on_lane(TimeInterleavedAdc& adc, std::size_t lane) 
 // ISA dispatch: every ladder clone of the float block converter writes the
 // bytes of the per-sample loop, from any start lane and for any length.
 TEST(TimeInterleaved, FloatBlockClonesMatchPerSampleLoop) {
-  std::vector<Isa> isas;
-  for (const Isa isa : kAllIsas) {
-    if (isa_supported(isa)) {
-      isas.push_back(isa);
-    } else {
-      std::cout << "[ SKIPPED ISA ] " << isa_name(isa) << ": not supported by this host\n";
-      RecordProperty(std::string("skipped_isa_") + isa_name(isa), "unsupported");
-    }
-  }
+  const std::vector<Isa> isas = test::supported_isas_or_report_skips();
   Rng rng(12);
   FlashParams lane;
   lane.bits = 4;

@@ -4,6 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <random>
+#include <string>
+#include <type_traits>
+#include <vector>
 
 #include "common/error.h"
 #include "channel/antenna.h"
@@ -12,9 +17,11 @@
 #include "channel/interferer.h"
 #include "channel/path_loss.h"
 #include "channel/saleh_valenzuela.h"
+#include "common/isa.h"
 #include "common/math_utils.h"
 #include "common/rng.h"
 #include "dsp/power_spectrum.h"
+#include "isa_clones.h"
 
 namespace uwb::channel {
 namespace {
@@ -200,6 +207,154 @@ TEST(Awgn, EnergyPerBit) {
   const CplxWaveform w(CplxVec(100, cplx{2.0, 0.0}), 1e9);
   EXPECT_NEAR(energy_per_bit(w, 10), 40.0, 1e-9);
   EXPECT_THROW(energy_per_bit(w, 0), InvalidArgument);
+}
+
+// ---------------------------------------------------- blocked ziggurat ----
+// The double add_awgn overloads draw their hot path 8 words at a time from
+// the engine's buffer. The reference below is the scalar loop they replace,
+// run on std::mt19937_64: every clone must add the same bytes and leave the
+// engine on the same word.
+
+/// The scalar 256-layer ziggurat, with counters for its slow branches.
+class ScalarZiggurat {
+ public:
+  ScalarZiggurat() {
+    x_[0] = kArea * std::exp(0.5 * kR * kR);
+    x_[1] = kR;
+    for (int i = 1; i < 256; ++i) {
+      const double fx = std::exp(-0.5 * x_[i] * x_[i]);
+      x_[i + 1] = std::sqrt(-2.0 * std::log(kArea / x_[i] + fx));
+    }
+    x_[256] = 0.0;
+    for (int i = 0; i <= 256; ++i) y_[i] = std::exp(-0.5 * x_[i] * x_[i]);
+  }
+
+  double operator()(std::mt19937_64& eng) {
+    while (true) {
+      const std::uint64_t u = eng();
+      const int i = static_cast<int>(u & 255u);
+      const double sign = (u & 256u) != 0 ? -1.0 : 1.0;
+      const double ux = static_cast<double>(u >> 12) * 0x1.0p-52;
+      const double cand = ux * x_[i];
+      if (cand < x_[i + 1]) return sign * cand;
+      if (i == 0) {
+        ++tails;
+        double xt;
+        double yt;
+        do {
+          xt = -std::log(1.0 - uniform01(eng)) / kR;
+          yt = -std::log(1.0 - uniform01(eng));
+        } while (yt + yt < xt * xt);
+        return sign * (kR + xt);
+      }
+      ++wedges;
+      const double yr = y_[i] + uniform01(eng) * (y_[i + 1] - y_[i]);
+      if (yr < std::exp(-0.5 * cand * cand)) return sign * cand;
+    }
+  }
+
+  std::size_t wedges = 0;  ///< draws that reached the wedge test
+  std::size_t tails = 0;   ///< draws that took the base-layer tail
+
+ private:
+  static double uniform01(std::mt19937_64& eng) {
+    return static_cast<double>(eng() >> 11) * 0x1.0p-53;
+  }
+
+  static constexpr double kR = 3.6541528853610088;
+  static constexpr double kArea = 0.00492867323399;
+  double x_[257];
+  double y_[257];
+};
+
+/// Draw counts that are not multiples of 8, straddle 312-word refills, or
+/// run long enough to hit the tail, and engine offsets to start from.
+const std::size_t kZigLengths[] = {1, 7, 9, 303, 313, 625, 1001, 40802, 300001};
+const std::size_t kZigOffsets[] = {0, 3, 305, 311};
+
+/// Checks the engines of \p rng and \p ref agree on their next 1000 words.
+void expect_same_next_words(Rng& rng, std::mt19937_64& ref, const std::string& where) {
+  for (int i = 0; i < 1000; ++i) {
+    ASSERT_EQ(rng.engine()(), ref()) << where << " word " << i;
+  }
+}
+
+/// A Gaussian test input of \p n samples.
+template <typename Vec>
+Vec noisy_input(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  Vec x(n);
+  for (auto& v : x) {
+    if constexpr (std::is_same_v<Vec, CplxVec>) {
+      v = rng.cgaussian();
+    } else {
+      v = rng.gaussian();
+    }
+  }
+  return x;
+}
+
+TEST(AwgnBlocked, EveryCloneMatchesScalarLoopBytes) {
+  const double sigma = std::sqrt(0.7 / 2.0);
+  std::size_t wedges = 0;
+  std::size_t tails = 0;
+  for (const Isa isa : test::supported_isas_or_report_skips()) {
+    for (const std::size_t n : kZigLengths) {
+      for (const std::size_t offset : kZigOffsets) {
+        const std::uint64_t seed = 1000 * n + offset;
+        const std::string where = std::string(isa_name(isa)) + " n " + std::to_string(n) +
+                                  " offset " + std::to_string(offset);
+        RealVec want = noisy_input<RealVec>(n, seed + 1);
+        std::mt19937_64 ref(seed);
+        ScalarZiggurat zig;
+        for (std::size_t i = 0; i < offset; ++i) ref();
+        for (auto& v : want) v += sigma * zig(ref);
+        wedges += zig.wedges;
+        tails += zig.tails;
+
+        RealVec x = noisy_input<RealVec>(n, seed + 1);
+        Rng rng(seed);
+        for (std::size_t i = 0; i < offset; ++i) rng.engine()();
+        detail::add_awgn(isa, x.data(), n, sigma, rng);
+        ASSERT_EQ(test::first_byte_mismatch(x.data(), want.data(), n), n) << where;
+        expect_same_next_words(rng, ref, where);
+      }
+    }
+  }
+  // Enough draws that both slow branches ran on every clone.
+  EXPECT_GT(wedges, 1000u);
+  EXPECT_GT(tails, 10u);
+}
+
+TEST(AwgnBlocked, PublicOverloadsMatchScalarLoopBytes) {
+  const double n0 = 0.36;
+  const double sigma = std::sqrt(n0 / 2.0);
+  for (const std::size_t n : {std::size_t{1}, std::size_t{4}, std::size_t{5}, std::size_t{155},
+                              std::size_t{157}, std::size_t{20401}}) {
+    const std::uint64_t seed = 77 + n;
+    const std::string where = "n " + std::to_string(n);
+
+    CplxVec want_c = noisy_input<CplxVec>(n, seed + 1);
+    std::mt19937_64 ref(seed);
+    ScalarZiggurat zig;
+    for (auto& v : want_c) {
+      const double re = sigma * zig(ref);
+      const double im = sigma * zig(ref);
+      v += cplx{re, im};
+    }
+    CplxVec x_c = noisy_input<CplxVec>(n, seed + 1);
+    Rng rng(seed);
+    add_awgn(x_c, n0, rng);
+    ASSERT_EQ(test::first_byte_mismatch(x_c.data(), want_c.data(), n), n) << where;
+    expect_same_next_words(rng, ref, "complex " + where);
+
+    RealVec want_r = noisy_input<RealVec>(n, seed + 2);
+    for (auto& v : want_r) v += sigma * zig(ref);
+    RealVec x_r = noisy_input<RealVec>(n, seed + 2);
+    add_awgn(x_r, n0, rng);
+    ASSERT_EQ(test::first_byte_mismatch(x_r.data(), want_r.data(), n), n) << where;
+    expect_same_next_words(rng, ref, "real " + where);
+  }
 }
 
 // ------------------------------------------------------------ interferer ----

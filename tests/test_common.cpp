@@ -2,11 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <random>
+#include <vector>
 
+#include "common/isa.h"
 #include "common/math_utils.h"
 #include "common/rng.h"
 #include "common/waveform.h"
+#include "isa_clones.h"
 
 namespace uwb {
 namespace {
@@ -144,6 +151,107 @@ TEST(Rng, BitsAreBinaryAndBalanced) {
     ones += b;
   }
   EXPECT_NEAR(static_cast<double>(ones) / bits.size(), 0.5, 0.03);
+}
+
+// ------------------------------------------------------ block engine ----
+// Mt64Block must emit std::mt19937_64's words on every refill clone. The
+// golden digests are too coarse to show a wrong word in a rare branch.
+
+/// Edge seeds plus the seeds of a few forked trial streams.
+std::vector<std::uint64_t> identity_seeds() {
+  std::vector<std::uint64_t> seeds = {0, 1, 5489, ~std::uint64_t{0}};
+  const Rng root(7);
+  for (const std::uint64_t salt : {0ULL, 1ULL, 999ULL, 123456789ULL}) {
+    seeds.push_back(root.fork(salt).seed());
+  }
+  seeds.push_back(Rng().fork(3).seed());
+  return seeds;
+}
+
+constexpr int kIdentityBlocks = 12;
+
+TEST(Mt64Block, EveryCloneMatchesStdMt19937_64) {
+  for (const Isa isa : test::supported_isas_or_report_skips()) {
+    for (const std::uint64_t seed : identity_seeds()) {
+      Mt64Block eng(seed);
+      std::mt19937_64 ref(seed);
+      for (int block = 0; block < kIdentityBlocks; ++block) {
+        detail::refill(eng, isa);
+        for (std::size_t i = 0; i < Mt64Block::kWords; ++i) {
+          ASSERT_EQ(eng(), ref()) << isa_name(isa) << " seed " << seed << " block " << block
+                                  << " word " << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(Mt64Block, HostEngineMatchesStdThroughSkipAndBuffered) {
+  static_assert(Mt64Block::min() == std::mt19937_64::min());
+  static_assert(Mt64Block::max() == std::mt19937_64::max());
+  for (const std::uint64_t seed : identity_seeds()) {
+    Mt64Block eng(seed);
+    std::mt19937_64 ref(seed);
+    std::size_t drawn = 0;
+    // Mixed single draws and skips of whole buffered runs, crossing refills.
+    while (drawn < kIdentityBlocks * Mt64Block::kWords) {
+      ASSERT_EQ(eng(), ref());
+      const auto words = eng.buffered();
+      ASSERT_FALSE(words.empty());
+      const std::size_t k = std::min<std::size_t>(words.size(), 1 + drawn % 13);
+      for (std::size_t i = 0; i < k; ++i) ASSERT_EQ(words[i], ref()) << "seed " << seed;
+      eng.skip(k);
+      drawn += 1 + k;
+    }
+  }
+}
+
+TEST(Mt64Block, CopyTakenMidBlockContinuesTheStream) {
+  for (const std::size_t offset : {std::size_t{0}, std::size_t{1}, std::size_t{100},
+                                   std::size_t{311}, std::size_t{312}, std::size_t{700}}) {
+    Rng a(42);
+    std::mt19937_64 ref(42);
+    for (std::size_t i = 0; i < offset; ++i) ASSERT_EQ(a.engine()(), ref());
+    Rng b = a;  // what a replay of a trial stage does
+    for (int i = 0; i < 1000; ++i) {
+      const std::uint64_t want = ref();
+      ASSERT_EQ(a.engine()(), want) << "offset " << offset;
+      ASSERT_EQ(b.engine()(), want) << "offset " << offset;
+    }
+  }
+}
+
+template <typename Dist>
+void expect_same_values(Dist dist_a, Dist dist_b, std::uint64_t seed, const char* what) {
+  Mt64Block eng(seed);
+  std::mt19937_64 ref(seed);
+  for (int i = 0; i < 2000; ++i) {
+    const auto a = dist_a(eng);
+    const auto b = dist_b(ref);
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(static_cast<double>(a)),
+              std::bit_cast<std::uint64_t>(static_cast<double>(b)))
+        << what << " seed " << seed << " draw " << i;
+  }
+}
+
+TEST(Mt64Block, StdDistributionsReturnBitIdenticalValues) {
+  for (const std::uint64_t seed : identity_seeds()) {
+    expect_same_values(std::normal_distribution<double>(0.0, 1.0),
+                       std::normal_distribution<double>(0.0, 1.0), seed, "normal");
+    expect_same_values(std::exponential_distribution<double>(1.0 / 3.5),
+                       std::exponential_distribution<double>(1.0 / 3.5), seed, "exponential");
+    expect_same_values(std::uniform_int_distribution<int>(-3, 1000),
+                       std::uniform_int_distribution<int>(-3, 1000), seed, "uniform_int");
+    expect_same_values(std::uniform_real_distribution<double>(0.0, 1.0),
+                       std::uniform_real_distribution<double>(0.0, 1.0), seed, "uniform_real");
+    Mt64Block eng(seed);
+    std::mt19937_64 ref(seed);
+    for (int i = 0; i < 2000; ++i) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(std::generate_canonical<double, 53>(eng)),
+                std::bit_cast<std::uint64_t>(std::generate_canonical<double, 53>(ref)))
+          << "generate_canonical seed " << seed << " draw " << i;
+    }
+  }
 }
 
 // ------------------------------------------------------------- waveform ----

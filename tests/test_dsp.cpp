@@ -5,7 +5,6 @@
 
 #include <cmath>
 #include <cstring>
-#include <iostream>
 #include <string>
 
 #include "common/error.h"
@@ -23,6 +22,7 @@
 #include "dsp/power_spectrum.h"
 #include "dsp/resampler.h"
 #include "dsp/window.h"
+#include "isa_clones.h"
 
 namespace uwb::dsp {
 namespace {
@@ -663,28 +663,9 @@ TEST(Correlator, IntegrateAndDump) {
 
 /// The non-portable ISAs this host runs; prints and records the skipped ones.
 std::vector<Isa> wide_isas_or_report_skips() {
-  std::vector<Isa> run;
-  std::string skipped;
-  for (const Isa isa : kAllIsas) {
-    if (isa == Isa::kPortable) continue;
-    if (isa_supported(isa)) {
-      run.push_back(isa);
-    } else {
-      std::cout << "[ SKIPPED ISA ] " << isa_name(isa) << ": not supported by this host\n";
-      skipped += skipped.empty() ? isa_name(isa) : std::string(",") + isa_name(isa);
-    }
-  }
-  if (!skipped.empty()) ::testing::Test::RecordProperty("skipped_isas", skipped);
+  std::vector<Isa> run = test::supported_isas_or_report_skips();
+  run.erase(run.begin());  // the portable clone is the reference
   return run;
-}
-
-/// Index of the first element whose bytes differ, or n when all match.
-template <typename T>
-std::size_t first_byte_mismatch(const T* a, const T* b, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    if (std::memcmp(a + i, b + i, sizeof(T)) != 0) return i;
-  }
-  return n;
 }
 
 /// Gaussian samples salted with signed zeros, so sign-of-zero handling
@@ -734,7 +715,7 @@ TEST(IsaDispatch, DotBankClonesMatchPortableBytes) {
       // correlate_to converts the double taps (on the heap above 256 taps).
       std::vector<float> via_corr(lags);
       correlate_to(xf.data(), xf.size(), h, via_corr.data());
-      ASSERT_EQ(first_byte_mismatch(via_corr.data(), ref_f.data(), lags), lags) << where;
+      ASSERT_EQ(test::first_byte_mismatch(via_corr.data(), ref_f.data(), lags), lags) << where;
 
       for (const Isa isa : wide) {
         RealVec out(lags);
@@ -743,11 +724,11 @@ TEST(IsaDispatch, DotBankClonesMatchPortableBytes) {
         detail::dot_bank(isa, x.data(), lags, h.data(), h_len, out.data());
         detail::dot_bank(isa, xf.data(), lags, hf.data(), h_len, out_f.data());
         detail::dot_bank(isa, xc.data(), lags, h.data(), h_len, out_c.data());
-        EXPECT_EQ(first_byte_mismatch(out.data(), ref.data(), lags), lags)
+        EXPECT_EQ(test::first_byte_mismatch(out.data(), ref.data(), lags), lags)
             << isa_name(isa) << " double, " << where;
-        EXPECT_EQ(first_byte_mismatch(out_f.data(), ref_f.data(), lags), lags)
+        EXPECT_EQ(test::first_byte_mismatch(out_f.data(), ref_f.data(), lags), lags)
             << isa_name(isa) << " float, " << where;
-        EXPECT_EQ(first_byte_mismatch(out_c.data(), ref_c.data(), lags), lags)
+        EXPECT_EQ(test::first_byte_mismatch(out_c.data(), ref_c.data(), lags), lags)
             << isa_name(isa) << " complex, " << where;
       }
     }
@@ -781,7 +762,7 @@ TEST(IsaDispatch, ComplexConvolveSameMatchesScatterBytes) {
     const CplxVec ref = scatter_convolve_same(x, h);
     const CplxVec got = convolve_same(x, h);
     ASSERT_EQ(got.size(), ref.size());
-    EXPECT_EQ(first_byte_mismatch(got.data(), ref.data(), ref.size()), ref.size())
+    EXPECT_EQ(test::first_byte_mismatch(got.data(), ref.data(), ref.size()), ref.size())
         << nx << " x " << nh << " on " << isa_name(host_isa());
   }
 }
