@@ -18,6 +18,7 @@
 
 #include <cstddef>
 
+#include "common/isa.h"
 #include "common/types.h"
 
 namespace uwb::dsp {
@@ -96,3 +97,21 @@ void ols_correlate(const RealVec& x, const RealVec& tmpl, RealVec& out, FftWorks
 void ols_correlate(const CplxVec& x, const CplxVec& tmpl, CplxVec& out, FftWorkspace& ws);
 
 }  // namespace uwb::dsp
+
+namespace uwb::detail {
+
+/// The dsp::ols_convolve / dsp::ols_correlate overloads with every
+/// transform and spectrum product on the clone for \p isa (the public
+/// overloads pass host_isa()). Tests compare the clones through these.
+void ols_convolve(Isa isa, const RealVec& x, const RealVec& h, RealVec& out,
+                  dsp::FftWorkspace& ws);
+void ols_convolve(Isa isa, const CplxVec& x, const RealVec& h, CplxVec& out,
+                  dsp::FftWorkspace& ws);
+void ols_convolve(Isa isa, const CplxVec& x, const CplxVec& h, CplxVec& out,
+                  dsp::FftWorkspace& ws);
+void ols_correlate(Isa isa, const RealVec& x, const RealVec& tmpl, RealVec& out,
+                   dsp::FftWorkspace& ws);
+void ols_correlate(Isa isa, const CplxVec& x, const CplxVec& tmpl, CplxVec& out,
+                   dsp::FftWorkspace& ws);
+
+}  // namespace uwb::detail

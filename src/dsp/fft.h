@@ -12,12 +12,27 @@
 ///     hot path (overlap-save convolution, per-packet spectral monitoring)
 ///     pays the twiddle/bit-reversal setup exactly once per size.
 ///
-/// The legacy free functions (fft_inplace, fft, ifft, fft_convolve) remain
-/// and route through the cache.
+/// The legacy free functions (fft_inplace, fft, ifft) remain and route
+/// through the cache.
+///
+/// Execution is ISA-dispatched (common/isa.h): the transform, the real
+/// transform's split and merge passes and the overlap-save spectrum product
+/// are each one always-inline body over simd::Vec lanes, compiled as
+/// portable, AVX2 and AVX-512F clones, and every clone writes the bytes of
+/// the scalar std::complex radix-2 loop it replaced. Each butterfly keeps
+/// that loop's operands and operations -- t = (vr*wr - vi*wi, vr*wi + vi*wr),
+/// then u +/- t, for every stage and twiddle -- so stages may be fused per
+/// memory pass but twiddles are never merged and no "trivial" multiply is
+/// skipped. A product whose two parts both come out NaN is redone by scalar
+/// std::complex multiplication (C Annex G), as the scalar loop did; inputs
+/// whose parts are all finite and far from overflow cannot produce one, so
+/// the clones look for it only when a cheap input scan says they must. See
+/// docs/performance.md, "ISA dispatch".
 
 #include <cstddef>
 #include <cstdint>
 
+#include "common/isa.h"
 #include "common/types.h"
 
 namespace uwb::dsp {
@@ -45,11 +60,17 @@ class FftPlan {
   void inverse(CplxVec& x) const;
 
  private:
-  void run(cplx* x, bool inverse) const noexcept;
+  friend struct FftPlanTables;  // the kernels' view (fft.cpp)
 
   std::size_t n_ = 0;
-  std::vector<std::uint32_t> rev_;  ///< bit-reversal permutation
-  CplxVec twiddle_;                 ///< forward twiddles, stages concatenated
+  std::vector<std::uint32_t> swaps_;  ///< bit-reversal swaps below 64 points, flattened
+  std::vector<std::uint32_t> tiles_;  ///< bit-reversal tile pairs from 64 points up
+  // Twiddles exp(-2 pi i k / len) of every stage, concatenated (len = 2
+  // first, n - 1 in all), each part stored twice so that one vector load
+  // yields (re, re) or (im, im) pairs lined up with interleaved samples.
+  RealVec tw_re_;       ///< real parts
+  RealVec tw_im_;       ///< imaginary parts (forward transform)
+  RealVec tw_im_conj_;  ///< their negations: the inverse's conjugate twiddles
 };
 
 /// The process-wide plan cache: returns the shared immutable plan for
@@ -92,6 +113,8 @@ class RfftPlan {
   void inverse(cplx* spec, double* x) const noexcept;
 
  private:
+  friend struct FftPlanTables;  // the kernels' view (fft.cpp)
+
   std::size_t n_ = 0;
   const FftPlan* half_ = nullptr;  ///< cached plan of size n/2
   CplxVec w_;                      ///< W_n^k = exp(-2*pi*i*k/n), k in [0, n/4]
@@ -140,18 +163,50 @@ CplxVec rfft(const RealVec& x, std::size_t n = 0);
 /// when nonzero. An empty spectrum returns an empty vector.
 RealVec irfft(const CplxVec& spec, std::size_t out_len = 0);
 
-/// Magnitude-squared of each FFT bin, |X[k]|^2.
-RealVec power_bins(const CplxVec& spectrum);
-
 /// Frequency (Hz) of FFT bin \p k for length \p n at sample rate \p fs,
 /// mapped to the range [-fs/2, fs/2).
 double bin_frequency(std::size_t k, std::size_t n, double fs);
 
-/// Linear convolution of two real sequences via overlap-free full FFT.
-/// Result has length a.size() + b.size() - 1.
-RealVec fft_convolve(const RealVec& a, const RealVec& b);
-
-/// Linear convolution of a complex sequence with a complex kernel via FFT.
-CplxVec fft_convolve(const CplxVec& a, const CplxVec& b);
-
 }  // namespace uwb::dsp
+
+namespace uwb::detail {
+
+/// How a spectral kernel handles the Annex G step of std::complex
+/// multiplication (see the file comment).
+enum class LaneCheck {
+  kIfNeeded,  ///< scan the inputs first; check products only if one is wild
+  kNone,      ///< the caller has shown every input part is tame (below)
+  kAlways,    ///< check every product (tests use it on any input)
+};
+
+/// Input parts whose magnitudes stay below these bounds -- and are not NaN
+/// -- cannot make any product of a kernel come out NaN in both parts: no
+/// intermediate of a transform of up to 2^32 points can overflow. The
+/// overlap-save bound also covers the product of two such spectra and the
+/// inverse transform of that product.
+inline constexpr double kFftTameBound = 0x1p960;
+inline constexpr double kOlsTameBound = 0x1p400;
+
+/// True when every one of the \p count doubles at \p p is tame against
+/// \p bound (|v| < bound, so NaN is not), on the clone for \p isa.
+[[nodiscard]] bool spectral_tame(Isa isa, const double* p, std::size_t count,
+                                 double bound) noexcept;
+
+/// FftPlan::forward / inverse on the clone for \p isa. kIfNeeded checks
+/// x against kFftTameBound.
+void fft(Isa isa, const dsp::FftPlan& plan, cplx* x, bool inverse, LaneCheck check) noexcept;
+
+/// RfftPlan::forward / inverse on the clone for \p isa. kIfNeeded checks
+/// the input (x, or the n/2 + 1 spectrum bins) against kFftTameBound.
+void rfft_forward(Isa isa, const dsp::RfftPlan& plan, const double* x, cplx* spec,
+                  LaneCheck check) noexcept;
+void rfft_inverse(Isa isa, const dsp::RfftPlan& plan, cplx* spec, double* x,
+                  LaneCheck check) noexcept;
+
+/// a[k] *= b[k] for k < n, as std::complex computes it, on the clone for
+/// \p isa: overlap-save's pointwise spectrum product. Only kNone skips
+/// the product checks; overlap-save passes it when its signal and kernel
+/// are tame against kOlsTameBound.
+void spectrum_mul(Isa isa, cplx* a, const cplx* b, std::size_t n, LaneCheck check) noexcept;
+
+}  // namespace uwb::detail

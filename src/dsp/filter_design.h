@@ -4,7 +4,7 @@
 ///        and root-raised-cosine pulse-shaping prototypes.
 ///
 /// All designs return unit-DC-gain (lowpass) or unit-center-gain (bandpass)
-/// tap vectors usable with uwb::dsp::FirFilter or fft_convolve.
+/// tap vectors usable with uwb::dsp::FirFilter or dsp::convolve.
 
 #include <cstddef>
 

@@ -3,8 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <string>
 
 #include "common/error.h"
@@ -90,7 +92,9 @@ TEST(Fft, ConvolutionMatchesDirect) {
   for (auto& v : a) v = rng.gaussian();
   for (auto& v : b) v = rng.gaussian();
   const RealVec direct = convolve(a, b);
-  const RealVec viafft = fft_convolve(a, b);
+  RealVec viafft;
+  FftWorkspace ws;
+  ols_convolve(a, b, viafft, ws);
   ASSERT_EQ(direct.size(), viafft.size());
   for (std::size_t i = 0; i < direct.size(); ++i) {
     EXPECT_NEAR(direct[i], viafft[i], 1e-9);
@@ -216,7 +220,9 @@ TEST(Rfft, EnergyConservedThroughChannelConvolution) {
     // Exponentially decaying multipath-style taps.
     h[i] = rng.gaussian() * std::exp(-0.08 * static_cast<double>(i));
   }
-  const RealVec y = fft_convolve(x, h);
+  RealVec y;
+  FftWorkspace ws;
+  ols_convolve(x, h, y, ws);
   ASSERT_EQ(y.size(), x.size() + h.size() - 1);
 
   double time_energy = 0.0;
@@ -764,6 +770,387 @@ TEST(IsaDispatch, ComplexConvolveSameMatchesScatterBytes) {
     ASSERT_EQ(got.size(), ref.size());
     EXPECT_EQ(test::first_byte_mismatch(got.data(), ref.data(), ref.size()), ref.size())
         << nx << " x " << nh << " on " << isa_name(host_isa());
+  }
+}
+
+// The scalar std::complex radix-2 code FftPlan, RfftPlan and overlap-save
+// ran before their ISA clones, kept as the byte reference. The attribute
+// keeps it out of the vectorizer: under -march=native GCC's SLP pass fuses
+// the ac - bd, ad + bc of a complex product into vfmaddsub, which rounds
+// once instead of twice.
+#define UWB_SCALAR_REFERENCE gnu::optimize("fp-contract=off", "no-tree-vectorize")
+
+[[UWB_SCALAR_REFERENCE]] void reference_fft(cplx* x, std::size_t n, bool inverse) {
+  std::vector<std::uint32_t> rev(n);
+  for (std::size_t i = 1, j = 0; i < n; ++i) {
+    std::size_t bit = n >> 1;
+    for (; j & bit; bit >>= 1) j ^= bit;
+    j ^= bit;
+    rev[i] = static_cast<std::uint32_t>(j);
+  }
+  CplxVec twiddle;
+  for (std::size_t len = 2; len <= n; len <<= 1) {
+    const double ang = -two_pi / static_cast<double>(len);
+    for (std::size_t k = 0; k < len / 2; ++k) {
+      const double a = ang * static_cast<double>(k);
+      twiddle.emplace_back(std::cos(a), std::sin(a));
+    }
+  }
+  for (std::size_t i = 1; i < n; ++i) {
+    const std::size_t j = rev[i];
+    if (i < j) std::swap(x[i], x[j]);
+  }
+  std::size_t tw = 0;
+  for (std::size_t len = 2; len <= n; len <<= 1) {
+    const cplx* w = twiddle.data() + tw;
+    const std::size_t half = len / 2;
+    for (std::size_t i = 0; i < n; i += len) {
+      for (std::size_t k = 0; k < half; ++k) {
+        const cplx wk = inverse ? std::conj(w[k]) : w[k];
+        const cplx u = x[i + k];
+        const cplx v = x[i + k + half] * wk;
+        x[i + k] = u + v;
+        x[i + k + half] = u - v;
+      }
+    }
+    tw += half;
+  }
+  if (inverse) {
+    const double inv_n = 1.0 / static_cast<double>(n);
+    for (std::size_t i = 0; i < n; ++i) x[i] *= inv_n;
+  }
+}
+
+CplxVec reference_rfft_twiddles(std::size_t n) {
+  const std::size_t m = n / 2;
+  CplxVec w(m / 2 + 1);
+  for (std::size_t k = 0; k <= m / 2; ++k) {
+    const double a = -two_pi * static_cast<double>(k) / static_cast<double>(n);
+    w[k] = cplx(std::cos(a), std::sin(a));
+  }
+  return w;
+}
+
+[[UWB_SCALAR_REFERENCE]] void reference_rfft_forward(const double* x, std::size_t n,
+                                                     cplx* spec) {
+  const std::size_t m = n / 2;
+  const CplxVec w = reference_rfft_twiddles(n);
+  for (std::size_t j = 0; j < m; ++j) spec[j] = cplx(x[2 * j], x[2 * j + 1]);
+  reference_fft(spec, m, false);
+  const cplx z0 = spec[0];
+  spec[0] = cplx(z0.real() + z0.imag(), 0.0);
+  spec[m] = cplx(z0.real() - z0.imag(), 0.0);
+  for (std::size_t k = 1; k < m - k; ++k) {
+    const cplx a = spec[k];
+    const cplx b = spec[m - k];
+    const cplx e = 0.5 * (a + std::conj(b));
+    const cplx o = cplx(0.0, -0.5) * (a - std::conj(b));
+    const cplx t = w[k] * o;
+    spec[k] = e + t;
+    spec[m - k] = std::conj(e - t);
+  }
+  if (m >= 2) spec[m / 2] = std::conj(spec[m / 2]);
+}
+
+[[UWB_SCALAR_REFERENCE]] void reference_rfft_inverse(cplx* spec, std::size_t n, double* x) {
+  const std::size_t m = n / 2;
+  const CplxVec w = reference_rfft_twiddles(n);
+  const double x0 = spec[0].real();
+  const double xm = spec[m].real();
+  spec[0] = cplx(0.5 * (x0 + xm), 0.5 * (x0 - xm));
+  for (std::size_t k = 1; k < m - k; ++k) {
+    const cplx a = spec[k];
+    const cplx b = spec[m - k];
+    const cplx e = 0.5 * (a + std::conj(b));
+    const cplx o = std::conj(w[k]) * (0.5 * (a - std::conj(b)));
+    spec[k] = e + cplx(-o.imag(), o.real());
+    spec[m - k] = std::conj(e) + cplx(o.imag(), o.real());
+  }
+  if (m >= 2) spec[m / 2] = std::conj(spec[m / 2]);
+  reference_fft(spec, m, true);
+  for (std::size_t j = 0; j < m; ++j) {
+    x[2 * j] = spec[j].real();
+    x[2 * j + 1] = spec[j].imag();
+  }
+}
+
+/// a[k] * b[k] by std::complex, Annex G step included.
+[[UWB_SCALAR_REFERENCE]] CplxVec reference_mul(CplxVec a, const CplxVec& b) {
+  for (std::size_t k = 0; k < a.size(); ++k) a[k] *= b[k];
+  return a;
+}
+
+std::size_t reference_ols_size(std::size_t h_len, std::size_t out_len) {
+  return std::min(next_pow2(out_len), std::max<std::size_t>(1024, next_pow2(4 * h_len)));
+}
+
+/// Full linear convolution by the old complex overlap-save loop.
+[[UWB_SCALAR_REFERENCE]] CplxVec reference_ols(const CplxVec& x, const CplxVec& h) {
+  const std::size_t out_len = x.size() + h.size() - 1;
+  const std::size_t n = reference_ols_size(h.size(), out_len);
+  const std::size_t hop = n - h.size() + 1;
+  CplxVec kernel(n, cplx{});
+  std::copy(h.begin(), h.end(), kernel.begin());
+  reference_fft(kernel.data(), n, false);
+  CplxVec out(out_len);
+  CplxVec block(n);
+  for (std::size_t s = 0; s < out_len; s += hop) {
+    const auto i0 = static_cast<std::ptrdiff_t>(s) - static_cast<std::ptrdiff_t>(h.size() - 1);
+    for (std::size_t j = 0; j < n; ++j) {
+      const std::ptrdiff_t i = i0 + static_cast<std::ptrdiff_t>(j);
+      block[j] = (i >= 0 && i < static_cast<std::ptrdiff_t>(x.size()))
+                     ? x[static_cast<std::size_t>(i)]
+                     : cplx{};
+    }
+    reference_fft(block.data(), n, false);
+    for (std::size_t k = 0; k < n; ++k) block[k] *= kernel[k];
+    reference_fft(block.data(), n, true);
+    for (std::size_t t = 0; t < std::min(hop, out_len - s); ++t) {
+      out[s + t] = block[h.size() - 1 + t];
+    }
+  }
+  return out;
+}
+
+/// Full linear convolution by the old real x real overlap-save loop.
+[[UWB_SCALAR_REFERENCE]] RealVec reference_ols(const RealVec& x, const RealVec& h) {
+  const std::size_t out_len = x.size() + h.size() - 1;
+  const std::size_t n = std::max<std::size_t>(2, reference_ols_size(h.size(), out_len));
+  const std::size_t hop = n - h.size() + 1;
+  RealVec block(n, 0.0);
+  std::copy(h.begin(), h.end(), block.begin());
+  CplxVec kernel(n / 2 + 1);
+  reference_rfft_forward(block.data(), n, kernel.data());
+  CplxVec spec(n / 2 + 1);
+  RealVec out(out_len);
+  for (std::size_t s = 0; s < out_len; s += hop) {
+    const auto i0 = static_cast<std::ptrdiff_t>(s) - static_cast<std::ptrdiff_t>(h.size() - 1);
+    for (std::size_t j = 0; j < n; ++j) {
+      const std::ptrdiff_t i = i0 + static_cast<std::ptrdiff_t>(j);
+      block[j] = (i >= 0 && i < static_cast<std::ptrdiff_t>(x.size()))
+                     ? x[static_cast<std::size_t>(i)]
+                     : 0.0;
+    }
+    reference_rfft_forward(block.data(), n, spec.data());
+    for (std::size_t k = 0; k < spec.size(); ++k) spec[k] *= kernel[k];
+    reference_rfft_inverse(spec.data(), n, block.data());
+    for (std::size_t t = 0; t < std::min(hop, out_len - s); ++t) {
+      out[s + t] = block[h.size() - 1 + t];
+    }
+  }
+  return out;
+}
+
+/// Complex Gaussian samples salted with signed zeros in either part.
+CplxVec salted_cplx(Rng& rng, std::size_t n) {
+  CplxVec v = random_cplx(rng, n);
+  for (std::size_t i = 0; i < n; i += 5) {
+    const double zero = (i % 3 == 0) ? -0.0 : 0.0;
+    v[i] = (i % 2 == 0) ? cplx(zero, v[i].imag()) : cplx(v[i].real(), -zero);
+  }
+  if (n > 3) v[3] = cplx(-0.0, -0.0);
+  return v;
+}
+
+const detail::LaneCheck kLaneChecks[] = {detail::LaneCheck::kIfNeeded,
+                                         detail::LaneCheck::kAlways};
+
+/// Index of the first double whose bytes differ, NaN matching any NaN, or
+/// n when all match. For the real transform's passes on infinite inputs:
+/// which operand's NaN a NaN - NaN in the scalar reference passes on (and
+/// so the sign a conj() then gives it) varies with how GCC compiles that
+/// reference -- it differs between -O3 and -O2 with sanitizers -- while
+/// the clones write the same bytes in both.
+std::size_t first_mismatch_any_nan(const double* a, const double* b, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    if (std::isnan(a[i]) && std::isnan(b[i])) continue;
+    if (std::memcmp(a + i, b + i, sizeof(double)) != 0) return i;
+  }
+  return n;
+}
+
+TEST(IsaDispatch, FftClonesMatchScalarReferenceBytes) {
+  const std::vector<Isa> isas = test::supported_isas_or_report_skips();
+  Rng rng(92);
+  // Finite inputs take the unchecked lanes under kIfNeeded; kAlways runs
+  // the Annex G lane step on them too. Infinite and NaN inputs take it
+  // under kIfNeeded, and a lone infinity makes NaN-NaN products whose
+  // Annex G result is infinite again.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (std::size_t n = 1; n <= (std::size_t{1} << 16); n *= 2) {
+    std::vector<CplxVec> inputs = {salted_cplx(rng, n)};
+    if (n >= 4) {
+      CplxVec wild = salted_cplx(rng, n);
+      wild[n / 4] = cplx(inf, 0.0);
+      inputs.push_back(wild);
+      wild[n / 2 + 1] = cplx(-1.0, -inf);
+      wild[1] = cplx(nan, 2.0);
+      inputs.push_back(wild);
+    }
+    for (std::size_t c = 0; c < inputs.size(); ++c) {
+      for (const bool inverse : {false, true}) {
+        CplxVec ref = inputs[c];
+        reference_fft(ref.data(), n, inverse);
+        if (c == 1 && n >= 64) {
+          // The Annex G step turned NaN-NaN products back into infinities.
+          bool has_inf = false;
+          for (const cplx& v : ref) {
+            has_inf = has_inf || std::isinf(v.real()) || std::isinf(v.imag());
+          }
+          EXPECT_TRUE(has_inf) << n;
+        }
+        for (const Isa isa : isas) {
+          for (const detail::LaneCheck check : kLaneChecks) {
+            CplxVec got = inputs[c];
+            detail::fft(isa, fft_plan(n), got.data(), inverse, check);
+            EXPECT_EQ(test::first_byte_mismatch(got.data(), ref.data(), n), n)
+                << isa_name(isa) << " n=" << n << " input " << c
+                << (inverse ? " inverse" : " forward")
+                << (check == detail::LaneCheck::kAlways ? " checked" : "");
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(IsaDispatch, RfftAndOverlapSaveMatchReferenceBytes) {
+  const std::vector<Isa> isas = test::supported_isas_or_report_skips();
+  Rng rng(93);
+  const double inf = std::numeric_limits<double>::infinity();
+  for (std::size_t n = 2; n <= (std::size_t{1} << 15); n *= 2) {
+    for (const bool wild : {false, true}) {
+      RealVec x = salted_real(rng, n);
+      CplxVec spec_in = salted_cplx(rng, n / 2 + 1);
+      if (wild) {  // infinities reach the split and merge products
+        x[n / 2] = -inf;
+        spec_in[n / 8] = cplx(inf, 1.0);
+      }
+      CplxVec ref_spec(n / 2 + 1);
+      reference_rfft_forward(x.data(), n, ref_spec.data());
+      RealVec ref_x(n);
+      CplxVec scratch = spec_in;
+      reference_rfft_inverse(scratch.data(), n, ref_x.data());
+      for (const Isa isa : isas) {
+        for (const detail::LaneCheck check : kLaneChecks) {
+          const std::string where = std::string(isa_name(isa)) + " n=" + std::to_string(n) +
+                                    (check == detail::LaneCheck::kAlways ? " checked" : "") +
+                                    (wild ? " wild" : "");
+          CplxVec spec(n / 2 + 1);
+          detail::rfft_forward(isa, rfft_plan(n), x.data(), spec.data(), check);
+          const auto* got = reinterpret_cast<const double*>(spec.data());
+          const auto* want = reinterpret_cast<const double*>(ref_spec.data());
+          const std::size_t parts = 2 * spec.size();
+          EXPECT_EQ(wild ? first_mismatch_any_nan(got, want, parts)
+                         : test::first_byte_mismatch(got, want, parts),
+                    parts)
+              << "rfft forward " << where;
+          RealVec back(n);
+          scratch = spec_in;
+          detail::rfft_inverse(isa, rfft_plan(n), scratch.data(), back.data(), check);
+          EXPECT_EQ(wild ? first_mismatch_any_nan(back.data(), ref_x.data(), n)
+                         : test::first_byte_mismatch(back.data(), ref_x.data(), n),
+                    n)
+              << "rfft inverse " << where;
+        }
+      }
+    }
+  }
+
+  // The spectrum product alone, on every pair of parts from {finite, +-0,
+  // +-inf, NaN}: the lanes the Annex G step redoes must see the operands.
+  const double specials[] = {1.5, -0.0, 0.0, inf, -inf, std::numeric_limits<double>::quiet_NaN()};
+  CplxVec lhs;
+  CplxVec rhs;
+  for (const double ar : specials) {
+    for (const double ai : specials) {
+      for (const double br : specials) {
+        for (const double bi : specials) {
+          lhs.emplace_back(ar, ai);
+          rhs.emplace_back(br, bi);
+        }
+      }
+    }
+  }
+  const CplxVec ref_product = reference_mul(lhs, rhs);
+  for (const Isa isa : isas) {
+    CplxVec product = lhs;
+    detail::spectrum_mul(isa, product.data(), rhs.data(), product.size(),
+                         detail::LaneCheck::kAlways);
+    const std::size_t parts = 2 * product.size();
+    EXPECT_EQ(first_mismatch_any_nan(reinterpret_cast<const double*>(product.data()),
+                                     reinterpret_cast<const double*>(ref_product.data()), parts),
+              parts)
+        << "spectrum product of special values, " << isa_name(isa);
+  }
+
+  // Every overlap-save overload: one block, several blocks, kernels above
+  // the 1024-point floor, and h longer than x.
+  const std::pair<std::size_t, std::size_t> sizes[] = {
+      {1, 1}, {37, 12}, {700, 61}, {5000, 100}, {3000, 300}, {6000, 1200}, {90, 700}, {2, 3000},
+  };
+  for (const auto& [nx, nh] : sizes) {
+   for (const bool wild : {false, true}) {
+    RealVec xr = salted_real(rng, nx);
+    const RealVec hr = salted_real(rng, nh);
+    CplxVec xc = salted_cplx(rng, nx);
+    const CplxVec hc = salted_cplx(rng, nh);
+    if (wild) {  // infinities reach the spectrum products' Annex G step
+      xr[nx / 2] = inf;
+      xc[nx / 2] = cplx(1.0, -inf);
+    }
+    CplxVec hr_c(hr.begin(), hr.end());
+    CplxVec hc_conj_rev(nh);
+    RealVec hr_rev(hr.rbegin(), hr.rend());
+    for (std::size_t i = 0; i < nh; ++i) hc_conj_rev[i] = std::conj(hc[nh - 1 - i]);
+
+    const RealVec ref_rr = reference_ols(xr, hr);
+    const CplxVec ref_cr = reference_ols(xc, hr_c);
+    const CplxVec ref_cc = reference_ols(xc, hc);
+    const RealVec full_corr_r = reference_ols(xr, hr_rev);
+    const CplxVec full_corr_c = reference_ols(xc, hc_conj_rev);
+    RealVec ref_corr_r;
+    CplxVec ref_corr_c;
+    if (nx >= nh) {
+      ref_corr_r.assign(full_corr_r.begin() + static_cast<std::ptrdiff_t>(nh - 1),
+                        full_corr_r.begin() + static_cast<std::ptrdiff_t>(nx));
+      ref_corr_c.assign(full_corr_c.begin() + static_cast<std::ptrdiff_t>(nh - 1),
+                        full_corr_c.begin() + static_cast<std::ptrdiff_t>(nx));
+    }
+    for (const Isa isa : isas) {
+      const std::string where = std::string(isa_name(isa)) + " " + std::to_string(nx) + " x " +
+                                std::to_string(nh) + (wild ? " wild" : "");
+      FftWorkspace ws;
+      RealVec rr;
+      CplxVec cr;
+      CplxVec cc;
+      RealVec corr_r;
+      CplxVec corr_c;
+      detail::ols_convolve(isa, xr, hr, rr, ws);
+      detail::ols_convolve(isa, xc, hr, cr, ws);
+      detail::ols_convolve(isa, xc, hc, cc, ws);
+      detail::ols_correlate(isa, xr, hr, corr_r, ws);
+      detail::ols_correlate(isa, xc, hc, corr_c, ws);
+      ASSERT_EQ(rr.size(), ref_rr.size()) << where;
+      ASSERT_EQ(cr.size(), ref_cr.size()) << where;
+      ASSERT_EQ(cc.size(), ref_cc.size()) << where;
+      ASSERT_EQ(corr_r.size(), ref_corr_r.size()) << where;
+      ASSERT_EQ(corr_c.size(), ref_corr_c.size()) << where;
+      const auto mismatch = [wild](const auto& got, const auto& want) {
+        const auto* g = reinterpret_cast<const double*>(got.data());
+        const auto* w = reinterpret_cast<const double*>(want.data());
+        const std::size_t parts = got.size() * sizeof(got[0]) / sizeof(double);
+        return (wild ? first_mismatch_any_nan(g, w, parts) : test::first_byte_mismatch(g, w, parts))
+               == parts;
+      };
+      EXPECT_TRUE(mismatch(rr, ref_rr)) << "convolve real x real, " << where;
+      EXPECT_TRUE(mismatch(cr, ref_cr)) << "convolve complex x real, " << where;
+      EXPECT_TRUE(mismatch(cc, ref_cc)) << "convolve complex x complex, " << where;
+      EXPECT_TRUE(mismatch(corr_r, ref_corr_r)) << "correlate real, " << where;
+      EXPECT_TRUE(mismatch(corr_c, ref_corr_c)) << "correlate complex, " << where;
+    }
+   }
   }
 }
 
