@@ -24,6 +24,18 @@ CplxVec correlate(const CplxVec& x, const CplxVec& tmpl) {
   return out;
 }
 
+CplxVec correlate(const CplxVec& x, const RealVec& tmpl) {
+  if (tmpl.empty() || x.size() < tmpl.size()) return {};
+  if (use_fft_convolve(x.size(), tmpl.size(), ConvKind::kCplxCplx)) {
+    CplxVec out;
+    ols_correlate(x, CplxVec(tmpl.begin(), tmpl.end()), out, thread_fft_workspace());
+    return out;
+  }
+  CplxVec out(x.size() - tmpl.size() + 1);
+  dot_bank(x.data(), out.size(), tmpl.data(), tmpl.size(), out.data());
+  return out;
+}
+
 RealVec correlate(const RealVec& x, const RealVec& tmpl) {
   if (tmpl.empty() || x.size() < tmpl.size()) return {};
   if (use_fft_convolve(x.size(), tmpl.size(), ConvKind::kRealReal)) {

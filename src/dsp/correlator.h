@@ -17,6 +17,17 @@ namespace uwb::dsp {
 /// (see dsp/fast_convolve.h); short templates stay on the direct kernel.
 CplxVec correlate(const CplxVec& x, const CplxVec& tmpl);
 
+/// Complex samples against a real template, out[k] = sum_i x[k+i] * tmpl[i]:
+/// the matched filter of a real pulse. Dispatches exactly as
+/// correlate(x, CplxVec(tmpl)) does. Below the FFT crossover it runs
+/// dot_bank, which equals that overload's conj-product sums bit for bit on
+/// finite data: conj(t) = (t, -0), the extra product terms are +-0, and an
+/// accumulator that starts at +0 never changes under a +-0 addend. With an
+/// inf or NaN operand it returns the plain complex-times-real sum instead
+/// (no Annex G recovery). Above the crossover it promotes the template to
+/// complex and runs the same overlap-save path.
+CplxVec correlate(const CplxVec& x, const RealVec& tmpl);
+
 /// Real-valued version.
 RealVec correlate(const RealVec& x, const RealVec& tmpl);
 

@@ -6,7 +6,6 @@
 #include "common/math_utils.h"
 #include "dsp/filter_design.h"
 #include "dsp/fir_filter.h"
-#include "dsp/resampler.h"
 
 namespace uwb::rf {
 
@@ -74,32 +73,6 @@ CplxWaveform FrontEnd::process_baseband(const CplxWaveform& x, double input_nois
     y = agc_.one_shot(y);
   }
   return y;
-}
-
-CplxWaveform FrontEnd::process_passband(const RealWaveform& rf, double input_noise_variance,
-                                        int decim, Rng& rng) {
-  detail::require(decim >= 1, "process_passband: decimation must be >= 1");
-  RealWaveform amplified = rf;
-  lna_.process(amplified, input_noise_variance, rng);
-
-  Downconverter down(synth_.frequency(), params_.baseband_cutoff_hz, rf.sample_rate(),
-                     params_.iq);
-  CplxWaveform bb = down.process(amplified);
-  synth_.apply_phase_noise(bb.samples(), bb.sample_rate(), rng);
-
-  if (decim > 1) {
-    bb = CplxWaveform(dsp::downsample_raw(bb.samples(), decim), bb.sample_rate() / decim);
-  }
-  if (notch_.has_value()) {
-    notch_->reset();
-    // Re-tune the notch object to the decimated rate domain if needed: the
-    // notch was configured by set_notch with an explicit fs, trust it.
-    bb = notch_->process(bb);
-  }
-  if (params_.enable_agc) {
-    bb = agc_.one_shot(bb);
-  }
-  return bb;
 }
 
 }  // namespace uwb::rf

@@ -5,13 +5,10 @@
 ///        Friis cascade arithmetic that turns per-stage specs into a system
 ///        noise figure.
 ///
-/// Two processing paths:
-///  * Passband path (process_passband): real RF at a high sample rate goes
-///    through the actual mixer. Used by the demos and the Fig. 4 bench.
-///  * Baseband-equivalent path (process_baseband): for Monte-Carlo BER at
-///    2 GS/s complex baseband; the same impairments (compression, I/Q
-///    imbalance, DC offset, phase noise, notch, AGC) applied without
-///    synthesizing a 21+ GS/s carrier.
+/// The receive chain runs baseband-equivalent (process_baseband): complex
+/// baseband at the analog rate carries the impairments (compression, I/Q
+/// imbalance, DC offset, phase noise, notch, AGC) without synthesizing a
+/// 21+ GS/s carrier. The passband mixer itself is rf::Downconverter.
 
 #include <optional>
 
@@ -77,12 +74,6 @@ class FrontEnd {
   /// (the LNA adds its excess noise relative to this).
   [[nodiscard]] CplxWaveform process_baseband(const CplxWaveform& x,
                                               double input_noise_variance, Rng& rng);
-
-  /// Full passband path: LNA, downconversion at the tuned channel,
-  /// decimation by \p decim down to the ADC rate.
-  [[nodiscard]] CplxWaveform process_passband(const RealWaveform& rf,
-                                              double input_noise_variance, int decim,
-                                              Rng& rng);
 
  private:
   FrontEndParams params_;

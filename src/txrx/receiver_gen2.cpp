@@ -22,7 +22,9 @@ Gen2Receiver::Gen2Receiver(const Gen2Config& config, Rng& rng)
       front_end_(config.front_end, plan_),
       sampler_(adc::SamplingParams{config.adc_rate, config.aperture_jitter_rms_s, 0.0}),
       adc_i_(config.sar, rng),
-      adc_q_(config.sar, rng),
+      // Q's mismatch draws follow I's on rng; its comparator noise gets its
+      // own salt, since a fork of rng depends on (seed, salt) alone.
+      adc_q_(config.sar, rng, adc::SarAdc::kNoiseSaltQ),
       estimator_(config.chanest),
       monitor_(estimation::SpectralMonitorConfig{1024, 12.0, 4}) {
   detail::require(config.analog_fs >= config.adc_rate,
@@ -101,23 +103,10 @@ Gen2RxResult Gen2Receiver::receive(const CplxWaveform& rx, const Gen2Transmitter
   result.acquired = true;
 
   // ---- Matched filter ------------------------------------------------------
-  // Template from the transmitter actually passed in (same contract as
-  // before the cache); promotion to complex happens only when the tap
-  // values changed. The value compare is O(|pulse|) -- tens of samples --
-  // against a correlation that is O(|capture| log), so it is free.
-  const RealVec& pulse_taps = tx.pulse_taps_adc();
-  const bool tmpl_stale =
-      pulse_tmpl_adc_.size() != pulse_taps.size() ||
-      !std::equal(pulse_taps.begin(), pulse_taps.end(), pulse_tmpl_adc_.begin(),
-                  [](double t, const cplx& c) { return c.real() == t && c.imag() == 0.0; });
-  if (tmpl_stale) {
-    pulse_tmpl_adc_.resize(pulse_taps.size());
-    for (std::size_t i = 0; i < pulse_taps.size(); ++i) {
-      pulse_tmpl_adc_[i] = cplx(pulse_taps[i], 0.0);
-    }
-  }
+  // Real pulse taps of the transmitter actually passed in: complex samples
+  // against real taps, the same sums as a promoted complex template.
   obs::StageTimer mf_timer(obs::Stage::kCorrelateRake, adc_out.size());
-  CplxWaveform y(dsp::correlate(adc_out.samples(), pulse_tmpl_adc_), config_.adc_rate);
+  CplxWaveform y(dsp::correlate(adc_out.samples(), tx.pulse_taps_adc()), config_.adc_rate);
   mf_timer.finish();
 
   // ---- Symbol bookkeeping --------------------------------------------------

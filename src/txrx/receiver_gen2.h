@@ -89,11 +89,6 @@ class Gen2Receiver {
   adc::SarAdc adc_q_;
   estimation::ChannelEstimator estimator_;
   estimation::SpectralMonitor monitor_;
-  // Pulse matched-filter template, promoted to complex from the taps of the
-  // transmitter passed to receive(). Rebuilt only when the tap values
-  // change; the staleness check is a value compare against the (short)
-  // cached taps, so it is safe across transmitter lifetimes.
-  CplxVec pulse_tmpl_adc_;
   std::unique_ptr<phy::Modulator> payload_mod_;  ///< see payload_modulator()
   double payload_mod_prf_hz_ = 0.0;              ///< PRF payload_mod_ was built for
 };

@@ -5,7 +5,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "common/error.h"
@@ -314,6 +317,188 @@ TEST(SarAdc, ComparatorNoiseFlipsLsbs) {
     }
   }
   EXPECT_TRUE(varied);
+}
+
+/// The bit-serial SAR the table-driven SarAdc replaced, kept as the byte
+/// reference: one data-dependent decision per bit, and a level that loops
+/// over the code's bits again.
+class BitSerialSar {
+ public:
+  BitSerialSar(const SarParams& params, Rng& rng, std::uint64_t noise_salt)
+      : params_(params), noise_rng_(rng.fork(noise_salt)) {
+    weights_.resize(static_cast<std::size_t>(params.bits));
+    double nominal = params.full_scale;
+    for (int k = 0; k < params.bits; ++k) {
+      const double units = std::pow(2.0, params.bits - 1 - k);
+      const double rel_sigma = params.cap_mismatch_sigma / std::sqrt(units);
+      weights_[static_cast<std::size_t>(k)] = nominal * (1.0 + rng.gaussian(0.0, rel_sigma));
+      nominal /= 2.0;
+    }
+  }
+
+  int convert(double x) {
+    double dac = -params_.full_scale;
+    int code = 0;
+    for (int k = 0; k < params_.bits; ++k) {
+      const double trial = dac + weights_[static_cast<std::size_t>(k)];
+      double decision_input = x;
+      if (params_.comparator_noise > 0.0) {
+        decision_input += noise_rng_.gaussian(0.0, params_.comparator_noise);
+      }
+      if (decision_input >= trial) {
+        dac = trial;
+        code |= 1 << (params_.bits - 1 - k);
+      }
+    }
+    return code;
+  }
+
+  double level_of(int code) const {
+    double v = -params_.full_scale;
+    for (int k = 0; k < params_.bits; ++k) {
+      if (code & (1 << (params_.bits - 1 - k))) v += weights_[static_cast<std::size_t>(k)];
+    }
+    return v + weights_.back() / 2.0;
+  }
+
+  /// Every comparator threshold the search can meet, summed in its order.
+  RealVec thresholds() const {
+    RealVec out;
+    for (int k = 0; k < params_.bits; ++k) {
+      for (int prefix = 0; prefix < (1 << k); ++prefix) {
+        double dac = -params_.full_scale;
+        for (int j = 0; j < k; ++j) {
+          if (prefix & (1 << (k - 1 - j))) dac += weights_[static_cast<std::size_t>(j)];
+        }
+        out.push_back(dac + weights_[static_cast<std::size_t>(k)]);
+      }
+    }
+    return out;
+  }
+
+  const RealVec& weights() const { return weights_; }
+
+ private:
+  SarParams params_;
+  RealVec weights_;
+  Rng noise_rng_;
+};
+
+/// Inputs on, and one ulp either side of, every threshold, plus the values
+/// whose comparisons are special: signed zeros, infinities, NaN and
+/// magnitudes far past full scale.
+RealVec sar_probe_inputs(const RealVec& thresholds) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  RealVec x = {0.0, -0.0, kInf, -kInf, std::numeric_limits<double>::quiet_NaN(), 1e300, -1e300};
+  for (const double t : thresholds) {
+    x.push_back(t);
+    x.push_back(std::nextafter(t, kInf));
+    x.push_back(std::nextafter(t, -kInf));
+  }
+  return x;
+}
+
+TEST(SarAdc, TablesMatchBitSerialReferenceBytes) {
+  const int bit_counts[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 16};
+  const double mismatches[] = {0.0, 0.01, 0.05};
+  const double noises[] = {0.0, 0.02};
+  std::uint64_t seed = 300;
+  for (const int bits : bit_counts) {
+    for (const double mismatch : mismatches) {
+      for (const double noise : noises) {
+        const SarParams params{bits, 1.0, mismatch, noise};
+        Rng rng(++seed);
+        Rng ref_rng = rng;
+        SarAdc sar(params, rng);
+        BitSerialSar ref(params, ref_rng, SarAdc::kNoiseSaltI);
+        const std::string where = "bits " + std::to_string(bits) + ", mismatch " +
+                                  std::to_string(mismatch) + ", noise " + std::to_string(noise);
+        ASSERT_EQ(test::first_byte_mismatch(sar.weights().data(), ref.weights().data(),
+                                            ref.weights().size()),
+                  ref.weights().size())
+            << where;
+
+        // Same inputs in the same order: with comparator noise both draw one
+        // sample per decision, so the codes must agree draw for draw.
+        const RealVec inputs = sar_probe_inputs(ref.thresholds());
+        for (const double x : inputs) {
+          ASSERT_EQ(sar.convert(x), ref.convert(x)) << where << ", x " << x;
+        }
+
+        const int num_codes = 1 << bits;
+        std::vector<int> codes = {-1, num_codes, -num_codes - 3, std::numeric_limits<int>::min(),
+                                  std::numeric_limits<int>::max()};
+        for (int c = 0; c < num_codes; ++c) codes.push_back(c);
+        for (const int code : codes) {
+          const double got = sar.level_of(code);
+          const double want = ref.level_of(code);
+          ASSERT_EQ(std::memcmp(&got, &want, sizeof(double)), 0)
+              << where << ", code " << code << ": " << got << " vs " << want;
+        }
+      }
+    }
+  }
+}
+
+TEST(SarAdc, PairDigitizeMatchesGenericBytes) {
+  // digitize_iq on a SarAdc pair runs the noiseless walks inlined; it must
+  // write what the Adc& loop writes, noise on either rail included.
+  Rng input_rng(14);
+  CplxVec x(3000);
+  for (auto& v : x) v = input_rng.cgaussian(0.5);
+  x[5] = cplx(std::numeric_limits<double>::quiet_NaN(), -0.0);
+  x[6] = cplx(std::numeric_limits<double>::infinity(), -1e300);
+  for (const double noise_i : {0.0, 0.02}) {
+    for (const double noise_q : {0.0, 0.03}) {
+      const SarParams params_i{5, 1.0, 0.01, noise_i};
+      const SarParams params_q{5, 1.0, 0.01, noise_q};
+      Rng rng(15);
+      Rng rng_generic = rng;
+      SarAdc adc_i(params_i, rng, SarAdc::kNoiseSaltI);
+      SarAdc adc_q(params_q, rng, SarAdc::kNoiseSaltQ);
+      SarAdc generic_i(params_i, rng_generic, SarAdc::kNoiseSaltI);
+      SarAdc generic_q(params_q, rng_generic, SarAdc::kNoiseSaltQ);
+      for (int rep = 0; rep < 2; ++rep) {  // the noise streams carry on
+        const CplxVec got = digitize_iq(x, adc_i, adc_q);
+        const CplxVec want =
+            digitize_iq(x, static_cast<Adc&>(generic_i), static_cast<Adc&>(generic_q));
+        ASSERT_EQ(test::first_byte_mismatch(got.data(), want.data(), x.size()), x.size())
+            << "noise " << noise_i << "/" << noise_q << ", rep " << rep;
+      }
+    }
+  }
+}
+
+TEST(SarAdc, ConvertersOnOneRngDrawSeparateComparatorNoise) {
+  // The gen-2 receiver builds its I and Q converters from one Rng, as here.
+  SarParams params;
+  params.cap_mismatch_sigma = 0.0;
+  params.comparator_noise = 0.02;
+  Rng rng(12);
+  Rng ref_rng = rng;
+  SarAdc adc_i(params, rng, SarAdc::kNoiseSaltI);
+  SarAdc adc_q(params, rng, SarAdc::kNoiseSaltQ);
+  // The I stream and both sets of mismatch draws are the ones a converter
+  // built with the default salt makes.
+  BitSerialSar ref_i(params, ref_rng, SarAdc::kNoiseSaltI);
+  BitSerialSar ref_q(params, ref_rng, SarAdc::kNoiseSaltQ);
+  EXPECT_EQ(adc_i.weights(), ref_i.weights());
+  EXPECT_EQ(adc_q.weights(), ref_q.weights());
+
+  Rng input_rng(13);
+  int same = 0;
+  const int n = 2000;
+  for (int i = 0; i < n; ++i) {
+    const double x = input_rng.uniform(-1.0, 1.0);
+    const int code_i = adc_i.convert(x);
+    const int code_q = adc_q.convert(x);
+    EXPECT_EQ(code_i, ref_i.convert(x));
+    EXPECT_EQ(code_q, ref_q.convert(x));
+    same += code_i == code_q ? 1 : 0;
+  }
+  // Independent noise of 0.02 V rms against a 1/16 V LSB flips a fair share
+  // of codes between the rails; a shared stream would flip none.
+  EXPECT_LT(same, n - 100);
 }
 
 // --------------------------------------------------------------- sampling ----

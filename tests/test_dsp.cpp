@@ -650,6 +650,43 @@ TEST(Correlator, RealCorrelationSign) {
   EXPECT_NEAR(c[0], -3.0, 1e-12);  // anti-aligned
 }
 
+TEST(Correlator, RealTapsMatchPromotedTemplateBytes) {
+  // correlate(x, real taps) must write the bytes of correlate(x, taps
+  // promoted to complex) on both sides of the FFT crossover: 32+ taps
+  // against 2000 samples take the overlap-save path.
+  Rng rng(10);
+  const std::size_t nx = 2000;
+  CplxVec x = random_cplx(rng, nx);
+  for (std::size_t i = 0; i < nx; i += 5) {
+    x[i] = cplx(i % 2 == 0 ? -0.0 : 0.0, i % 3 == 0 ? -0.0 : x[i].imag());
+  }
+  for (std::size_t i = 2; i < nx; i += 11) x[i] = cplx(x[i].real(), -0.0);
+  auto expect_same_bytes = [&](const CplxVec& xs, const RealVec& taps, const std::string& what) {
+    const CplxVec want = correlate(xs, CplxVec(taps.begin(), taps.end()));
+    const CplxVec got = correlate(xs, taps);
+    ASSERT_EQ(got.size(), want.size()) << what;
+    ASSERT_EQ(test::first_byte_mismatch(got.data(), want.data(), got.size()), got.size())
+        << what;
+  };
+  for (const bool fast : {true, false}) {
+    const FastConvolveGuard guard(fast);
+    std::size_t fft_sizes = 0;
+    for (std::size_t n = 1; n <= 40; ++n) {
+      RealVec taps = random_real(rng, n);
+      taps[n / 2] = -0.0;
+      if (n > 2) taps[0] = 0.0;
+      fft_sizes += use_fft_convolve(nx, n, ConvKind::kCplxCplx) ? 1 : 0;
+      expect_same_bytes(x, taps, std::to_string(n) + " taps, fast " + std::to_string(fast));
+    }
+    EXPECT_EQ(fft_sizes, fast ? 9u : 0u);  // 32..40 taps
+    expect_same_bytes(x, RealVec(25, 0.0), "zero taps");
+    expect_same_bytes(x, RealVec(40, -0.0), "negative-zero taps");
+    expect_same_bytes(CplxVec(64, cplx(-0.0, 0.0)), random_real(rng, 9), "signed-zero samples");
+  }
+  EXPECT_TRUE(correlate(CplxVec(8, cplx(1.0, 1.0)), RealVec(9, 1.0)).empty());
+  EXPECT_TRUE(correlate(x, RealVec{}).empty());
+}
+
 TEST(Correlator, IntegrateAndDump) {
   IntegrateAndDump<double> iad(4);
   double out = 0.0;
