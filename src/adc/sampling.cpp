@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 #include "common/error.h"
 
@@ -14,45 +15,54 @@ SampleAndHold::SampleAndHold(const SamplingParams& params) : params_(params) {
 }
 
 template <typename T>
-std::vector<T> SampleAndHold::sample_impl(const std::vector<T>& x, double fs_in,
-                                          const RealVec* lane_skews, Rng& rng) const {
+std::size_t SampleAndHold::sample_impl(const T* x, std::size_t x_len, double fs_in, Rng& rng,
+                                       T* out) const {
   const double ratio = fs_in / params_.adc_rate_hz;
   detail::require(ratio >= 1.0 - 1e-9, "SampleAndHold: input rate below ADC rate");
   const auto n_out = static_cast<std::size_t>(
-      std::floor(static_cast<double>(x.size()) / ratio));
-  std::vector<T> out(n_out, T{});
+      std::floor(static_cast<double>(x_len) / ratio));
+  std::fill(out, out + n_out, T{});
+  const bool jitter = params_.aperture_jitter_rms_s > 0.0;
+  // floor(pos) + 1 >= x_len exactly when pos >= x_len - 1 (an integer).
+  const double last = static_cast<double>(x_len) - 1.0;
   for (std::size_t k = 0; k < n_out; ++k) {
     double t_s = static_cast<double>(k) / params_.adc_rate_hz + params_.phase_offset_s;
-    if (params_.aperture_jitter_rms_s > 0.0) {
-      t_s += rng.gaussian(0.0, params_.aperture_jitter_rms_s);
-    }
-    if (lane_skews != nullptr && !lane_skews->empty()) {
-      t_s += (*lane_skews)[k % lane_skews->size()];
-    }
+    if (jitter) t_s += rng.gaussian(0.0, params_.aperture_jitter_rms_s);
     const double pos = t_s * fs_in;
     if (pos < 0.0) continue;
-    const auto i0 = static_cast<std::size_t>(pos);
-    if (i0 + 1 >= x.size()) break;
+    if (pos >= last) break;
+    // 0 <= pos < x_len - 1: the signed conversions truncate and convert
+    // back as the unsigned ones would, without their range fix-ups.
+    const auto i0 = static_cast<std::int64_t>(pos);
     const double frac = pos - static_cast<double>(i0);
     out[k] = x[i0] * (1.0 - frac) + x[i0 + 1] * frac;
   }
+  return n_out;
+}
+
+template <typename T>
+std::vector<T> SampleAndHold::sample_vec(const std::vector<T>& x, double fs_in,
+                                         Rng& rng) const {
+  detail::require(fs_in / params_.adc_rate_hz >= 1.0 - 1e-9,
+                  "SampleAndHold: input rate below ADC rate");
+  std::vector<T> out(output_size(x.size(), fs_in));
+  sample_impl(x.data(), x.size(), fs_in, rng, out.data());
   return out;
 }
 
 RealWaveform SampleAndHold::sample(const RealWaveform& analog, Rng& rng) const {
-  return RealWaveform(sample_impl(analog.samples(), analog.sample_rate(), nullptr, rng),
+  return RealWaveform(sample_vec(analog.samples(), analog.sample_rate(), rng),
                       params_.adc_rate_hz);
 }
 
 CplxWaveform SampleAndHold::sample(const CplxWaveform& analog, Rng& rng) const {
-  return CplxWaveform(sample_impl(analog.samples(), analog.sample_rate(), nullptr, rng),
+  return CplxWaveform(sample_vec(analog.samples(), analog.sample_rate(), rng),
                       params_.adc_rate_hz);
 }
 
-RealWaveform SampleAndHold::sample_interleaved(const RealWaveform& analog,
-                                               const RealVec& lane_skews_s, Rng& rng) const {
-  return RealWaveform(sample_impl(analog.samples(), analog.sample_rate(), &lane_skews_s, rng),
-                      params_.adc_rate_hz);
+std::size_t SampleAndHold::sample_to(const cplx* x, std::size_t x_len, double fs_in, Rng& rng,
+                                     cplx* out) const {
+  return sample_impl(x, x_len, fs_in, rng, out);
 }
 
 std::size_t SampleAndHold::output_size(std::size_t x_len, double fs_in) const noexcept {
@@ -205,11 +215,5 @@ std::size_t SampleAndHold::sample_interleaved_to(const float* x, std::size_t x_l
   }
   return n_out;
 }
-
-template std::vector<double> SampleAndHold::sample_impl<double>(const std::vector<double>&,
-                                                                double, const RealVec*,
-                                                                Rng&) const;
-template std::vector<cplx> SampleAndHold::sample_impl<cplx>(const std::vector<cplx>&, double,
-                                                            const RealVec*, Rng&) const;
 
 }  // namespace uwb::adc

@@ -30,19 +30,23 @@ class SampleAndHold {
   [[nodiscard]] RealWaveform sample(const RealWaveform& analog, Rng& rng) const;
   [[nodiscard]] CplxWaveform sample(const CplxWaveform& analog, Rng& rng) const;
 
-  /// Per-lane skewed sampling (time-interleaved converters): lane k of
-  /// \p num_lanes has an extra static skew \p lane_skews_s[k].
-  [[nodiscard]] RealWaveform sample_interleaved(const RealWaveform& analog,
-                                                const RealVec& lane_skews_s, Rng& rng) const;
-
   /// Number of output samples produced from \p x_len input samples at rate
-  /// \p fs_in -- pre-size the buffer handed to sample_interleaved_to().
+  /// \p fs_in -- pre-size the buffer handed to sample_to() and
+  /// sample_interleaved_to().
   [[nodiscard]] std::size_t output_size(std::size_t x_len, double fs_in) const noexcept;
 
-  /// Interleaved sampling into a caller-owned buffer of output_size()
-  /// doubles. Bit-identical to sample_interleaved(); with zero aperture
-  /// jitter the inner loop runs a branch-free per-lane path that never
-  /// touches the RNG. Returns the number of samples written.
+  /// sample() of \p x_len complex samples at \p fs_in into a caller-owned
+  /// buffer of output_size() values, with the same bytes and jitter draws.
+  /// Returns the number of samples written.
+  std::size_t sample_to(const cplx* x, std::size_t x_len, double fs_in, Rng& rng,
+                        cplx* out) const;
+
+  /// Per-lane skewed sampling (time-interleaved converters) into a
+  /// caller-owned buffer of output_size() doubles: lane k of the
+  /// lane_skews_s.size() lanes has an extra static skew lane_skews_s[k].
+  /// With zero aperture jitter the inner loop runs a branch-free per-lane
+  /// path that never touches the RNG, with the per-sample loop's bytes.
+  /// Returns the number of samples written.
   std::size_t sample_interleaved_to(const double* x, std::size_t x_len, double fs_in,
                                     const RealVec& lane_skews_s, Rng& rng,
                                     double* out) const;
@@ -58,8 +62,9 @@ class SampleAndHold {
 
  private:
   template <typename T>
-  [[nodiscard]] std::vector<T> sample_impl(const std::vector<T>& x, double fs_in,
-                                           const RealVec* lane_skews, Rng& rng) const;
+  std::size_t sample_impl(const T* x, std::size_t x_len, double fs_in, Rng& rng, T* out) const;
+  template <typename T>
+  [[nodiscard]] std::vector<T> sample_vec(const std::vector<T>& x, double fs_in, Rng& rng) const;
 
   SamplingParams params_;
 };

@@ -84,15 +84,20 @@ double SarAdc::level_of(int code) const noexcept {
   return levels_[static_cast<unsigned>(code) & code_mask_];
 }
 
-[[gnu::flatten]] CplxVec digitize_iq(const CplxVec& x, SarAdc& adc_i, SarAdc& adc_q) {
+[[gnu::flatten]] void digitize_iq_to(const cplx* x, std::size_t n, SarAdc& adc_i, SarAdc& adc_q,
+                                     cplx* out) {
   // The generic loop with the calls bound statically (SarAdc is final) and
   // flattened: without comparator noise a sample's I and Q walks are then
   // independent chains in one loop body, which the core runs side by side.
-  CplxVec out(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) {
+  for (std::size_t i = 0; i < n; ++i) {
     out[i] = {adc_i.level_of(adc_i.convert(x[i].real())),
               adc_q.level_of(adc_q.convert(x[i].imag()))};
   }
+}
+
+CplxVec digitize_iq(const CplxVec& x, SarAdc& adc_i, SarAdc& adc_q) {
+  CplxVec out(x.size());
+  digitize_iq_to(x.data(), x.size(), adc_i, adc_q, out.data());
   return out;
 }
 

@@ -73,4 +73,7 @@ class SarAdc final : public Adc {
 /// I-then-Q order, with the converter calls bound statically.
 CplxVec digitize_iq(const CplxVec& x, SarAdc& adc_i, SarAdc& adc_q);
 
+/// The SAR-pair digitize_iq() of \p n samples into a caller-owned buffer.
+void digitize_iq_to(const cplx* x, std::size_t n, SarAdc& adc_i, SarAdc& adc_q, cplx* out);
+
 }  // namespace uwb::adc

@@ -43,5 +43,16 @@ inline void require(bool cond, const std::string& msg) {
   if (!cond) throw InvalidArgument(msg);
 }
 
+/// Throws InvalidArgument with \p msg (require()'s failure path).
+[[noreturn, gnu::cold, gnu::noinline]] inline void throw_invalid_argument(const char* msg) {
+  throw InvalidArgument(msg);
+}
+
+/// require() for a literal message: the string is built only on failure,
+/// so a check that passes allocates nothing.
+inline void require(bool cond, const char* msg) {
+  if (!cond) throw_invalid_argument(msg);
+}
+
 }  // namespace detail
 }  // namespace uwb

@@ -114,18 +114,33 @@ void convolve_same_direct(const T* x, std::size_t x_len, const RealVec& h, T* y)
   }
 }
 
+/// convolve_same_to() above the FFT crossover: the full overlap-save
+/// convolution, then its "same" window.
+template <typename T>
+void convolve_same_fft_to(const T* x, std::size_t x_len, const RealVec& h, T* y) {
+  const std::size_t start = (h.size() - 1) / 2;
+  const std::vector<T> xin(x, x + x_len);
+  std::vector<T> full;
+  ols_convolve(xin, h, full, thread_fft_workspace());
+  std::copy(full.begin() + static_cast<std::ptrdiff_t>(start),
+            full.begin() + static_cast<std::ptrdiff_t>(start + x_len), y);
+}
+
 }  // namespace
 
 void convolve_same_to(const double* x, std::size_t x_len, const RealVec& h, double* y) {
-  const std::size_t h_len = h.size();
-  if (x_len == 0 || h_len == 0) return;
-  if (use_fft_convolve(x_len, h_len, ConvKind::kRealReal)) {
-    const std::size_t start = (h_len - 1) / 2;
-    const RealVec xin(x, x + x_len);
-    RealVec full;
-    ols_convolve(xin, h, full, thread_fft_workspace());
-    std::copy(full.begin() + static_cast<std::ptrdiff_t>(start),
-              full.begin() + static_cast<std::ptrdiff_t>(start + x_len), y);
+  if (x_len == 0 || h.empty()) return;
+  if (use_fft_convolve(x_len, h.size(), ConvKind::kRealReal)) {
+    convolve_same_fft_to(x, x_len, h, y);
+    return;
+  }
+  convolve_same_direct(x, x_len, h, y);
+}
+
+void convolve_same_to(const cplx* x, std::size_t x_len, const RealVec& h, cplx* y) {
+  if (x_len == 0 || h.empty()) return;
+  if (use_fft_convolve(x_len, h.size(), ConvKind::kCplxReal)) {
+    convolve_same_fft_to(x, x_len, h, y);
     return;
   }
   convolve_same_direct(x, x_len, h, y);

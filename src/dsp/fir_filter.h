@@ -91,6 +91,12 @@ void convolve_same_to(const double* x, std::size_t x_len, const RealVec& h, doub
 /// below the FFT crossover. Taps are converted to float once per call.
 void convolve_same_to(const float* x, std::size_t x_len, const RealVec& h, float* y);
 
+/// Complex "same"-mode convolution into a caller-owned buffer \p y of
+/// length \p x_len: bit-identical to convolve_same(CplxVec, RealVec), and
+/// allocation-free on its direct path (FFT-worthy kernels stage through
+/// the overlap-save engine's vectors).
+void convolve_same_to(const cplx* x, std::size_t x_len, const RealVec& h, cplx* y);
+
 /// "Same"-mode convolution for complex input with real kernel. The direct
 /// path gathers through the complex dot_bank (tap stride 2 over the
 /// interleaved samples), bit-identical to the "same" window of the scatter

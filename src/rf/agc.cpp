@@ -14,40 +14,14 @@ Agc::Agc(const AgcParams& params) : params_(params) {
   detail::require(params.window > 0, "Agc: window must be positive");
 }
 
-namespace {
-
-template <typename T>
-double rms_of(const std::vector<T>& x) {
-  if (x.empty()) return 0.0;
+void Agc::one_shot(std::span<cplx> x) {
   double acc = 0.0;
-  for (const auto& v : x) {
-    if constexpr (std::is_same_v<T, cplx>) {
-      acc += std::norm(v);
-    } else {
-      acc += v * v;
-    }
-  }
-  return std::sqrt(acc / static_cast<double>(x.size()));
-}
-
-}  // namespace
-
-CplxWaveform Agc::one_shot(const CplxWaveform& x) {
-  const double r = rms_of(x.samples());
+  for (const cplx& v : x) acc += std::norm(v);
+  const double r = x.empty() ? 0.0 : std::sqrt(acc / static_cast<double>(x.size()));
   const double wanted_db = (r > 0.0) ? amp_to_db(params_.target_rms / r) : params_.max_gain_db;
   gain_db_ = std::clamp(wanted_db, params_.min_gain_db, params_.max_gain_db);
-  CplxWaveform out = x;
-  out.scale(db_to_amp(gain_db_));
-  return out;
-}
-
-RealWaveform Agc::one_shot(const RealWaveform& x) {
-  const double r = rms_of(x.samples());
-  const double wanted_db = (r > 0.0) ? amp_to_db(params_.target_rms / r) : params_.max_gain_db;
-  gain_db_ = std::clamp(wanted_db, params_.min_gain_db, params_.max_gain_db);
-  RealWaveform out = x;
-  out.scale(db_to_amp(gain_db_));
-  return out;
+  const double gain = db_to_amp(gain_db_);
+  for (cplx& v : x) v *= gain;
 }
 
 CplxWaveform Agc::track(const CplxWaveform& x) {

@@ -5,6 +5,8 @@
 ///        both clipping and underloading destroy the paper's resolution
 ///        trade-offs.
 
+#include <span>
+
 #include "common/types.h"
 #include "common/waveform.h"
 
@@ -31,9 +33,8 @@ class Agc {
   [[nodiscard]] double gain_db() const noexcept { return gain_db_; }
 
   /// Measures rms of \p x and applies the exact gain to hit target_rms,
-  /// clamped to the gain range. Returns the gained signal.
-  CplxWaveform one_shot(const CplxWaveform& x);
-  RealWaveform one_shot(const RealWaveform& x);
+  /// clamped to the gain range, in place.
+  void one_shot(std::span<cplx> x);
 
   /// Windowed tracking loop; gain_db() holds the final gain afterwards.
   CplxWaveform track(const CplxWaveform& x);

@@ -26,7 +26,7 @@ double cascade_noise_figure_db(const std::vector<CascadeStage>& stages) {
 }
 
 FrontEnd::FrontEnd(const FrontEndParams& params, const pulse::BandPlan& plan)
-    : params_(params), plan_(plan), lna_(params.lna), synth_(plan, params.synth),
+    : params_(params), lna_(params.lna), synth_(plan, params.synth),
       agc_(params.agc) {
   anti_alias_taps_ = dsp::design_lowpass(params.baseband_cutoff_hz, params.analog_fs,
                                          params.anti_alias_taps);
@@ -46,33 +46,39 @@ double FrontEnd::system_noise_figure_db() const {
   });
 }
 
-CplxWaveform FrontEnd::process_baseband(const CplxWaveform& x, double input_noise_variance,
-                                        Rng& rng) {
-  detail::require(x.sample_rate() == params_.analog_fs,
-                  "FrontEnd::process_baseband: configure analog_fs to match the input");
-  CplxWaveform y = x;
+std::span<const cplx> FrontEnd::process(std::span<const cplx> x, double fs,
+                                        double input_noise_variance, Rng& rng) {
+  detail::require(fs == params_.analog_fs,
+                  "FrontEnd::process: configure analog_fs to match the input");
+  const std::size_t n = x.size();
+  ws_analog_.resize(n);
+  const std::span<cplx> analog(ws_analog_.data(), n);
   // LNA: excess noise + envelope compression + gain.
-  lna_.process(y, input_noise_variance, rng);
+  lna_.process(x.data(), n, input_noise_variance, rng, analog.data());
   // LO phase noise (multiplicative).
-  synth_.apply_phase_noise(y.samples(), y.sample_rate(), rng);
+  synth_.apply_phase_noise(analog, fs, rng);
   // Direct-conversion I/Q impairments.
-  if (!params_.iq.ideal()) {
-    y = apply_iq_impairments(y, params_.iq);
-  }
+  if (!params_.iq.ideal()) apply_iq_impairments(analog, params_.iq);
   // Anti-alias lowpass ahead of the converters (the baseband filter of the
   // direct-conversion chain). Without it, wideband noise folds into the
   // ADC's Nyquist band and costs several dB of effective Eb/N0.
-  y = dsp::filter_same(y, anti_alias_taps_);
+  ws_filtered_.resize(n);
+  const std::span<cplx> out(ws_filtered_.data(), n);
+  dsp::convolve_same_to(analog.data(), n, anti_alias_taps_, out.data());
   // Optional interferer notch.
   if (notch_.has_value()) {
     notch_->reset();
-    y = notch_->process(y);
+    notch_->process(out, fs);
   }
   // AGC loads the ADC.
-  if (params_.enable_agc) {
-    y = agc_.one_shot(y);
-  }
-  return y;
+  if (params_.enable_agc) agc_.one_shot(out);
+  return out;
+}
+
+CplxWaveform FrontEnd::process_baseband(const CplxWaveform& x, double input_noise_variance,
+                                        Rng& rng) {
+  const std::span<const cplx> y = process(x.samples(), x.sample_rate(), input_noise_variance, rng);
+  return CplxWaveform(CplxVec(y.begin(), y.end()), x.sample_rate());
 }
 
 }  // namespace uwb::rf

@@ -12,9 +12,11 @@
 /// operating in its linear region; small values model front-end overload
 /// (e.g. a strong in-band interferer driving the LNA into compression).
 
+#include <cstddef>
+
+#include "common/isa.h"
 #include "common/rng.h"
 #include "common/types.h"
-#include "common/waveform.h"
 
 namespace uwb::rf {
 
@@ -25,12 +27,18 @@ struct LnaParams {
   double headroom_db = 20.0;  ///< compression knee above input rms
 };
 
-/// Gain + additive noise + tanh soft limiter.
+/// Gain + additive noise + tanh envelope limiter on complex baseband.
 ///
 /// Noise injection needs a reference: \p input_noise_variance is the total
 /// input-referred noise power per sample already present (e.g. from the
 /// channel). The LNA adds (F - 1) times that, the standard excess-noise
 /// view of noise figure, so a noiseless configuration adds nothing.
+///
+/// A sample v is limited to v * sat * tanh(|v| / sat) / |v|. That factor is
+/// a function of w = |v|^2 / sat^2 alone, and for w <= 1 it is evaluated as
+/// a rational in w from tanh's continued fraction, within a few ulp of the
+/// libm formula; larger and non-finite samples take the libm formula itself
+/// (see docs/performance.md, "The gen-2 front-end workspace").
 class Lna {
  public:
   explicit Lna(const LnaParams& params);
@@ -39,20 +47,17 @@ class Lna {
 
   [[nodiscard]] double gain_linear() const noexcept { return gain_amp_; }
 
-  /// Amplifies a real passband waveform in place.
-  void process(RealWaveform& x, double input_noise_variance, Rng& rng) const;
-
-  /// Amplifies a complex baseband waveform in place (envelope compression).
-  void process(CplxWaveform& x, double input_noise_variance, Rng& rng) const;
+  /// Amplifies \p n complex baseband samples of \p in into \p out, which
+  /// may equal \p in. The limiter's knee follows the rms of \p in; the
+  /// excess noise is drawn one complex sample at a time, in sample order.
+  void process(const cplx* in, std::size_t n, double input_noise_variance, Rng& rng,
+               cplx* out) const;
 
   /// The saturation amplitude the limiter would use for an input of the
   /// given rms level.
   [[nodiscard]] double saturation_amplitude(double input_rms) const noexcept;
 
  private:
-  template <typename T>
-  void process_impl(std::vector<T>& x, double input_noise_variance, Rng& rng) const;
-
   LnaParams params_;
   double gain_amp_;
   double excess_noise_factor_;  ///< F - 1, linear
@@ -60,3 +65,21 @@ class Lna {
 };
 
 }  // namespace uwb::rf
+
+namespace uwb::detail {
+
+/// The factor the limiter multiplies a sample (re, im) by at saturation
+/// amplitude \p sat: sat * tanh(m / sat) / m with m = |(re, im)|, and 1 when
+/// sat is not positive or m < 1e-300. Bit for bit what every kernel clone
+/// applies.
+[[nodiscard]] double lna_compression_factor(double re, double im, double sat) noexcept;
+
+/// out[i] = in[i] * lna_compression_factor(in[i], sat) * gain (each part
+/// multiplied by the factor, then by the gain) with the clone for \p isa
+/// forced instead of the host's choice, so tests can compare every clone's
+/// bytes with the portable one. \p out may equal \p in; \p isa must satisfy
+/// isa_supported().
+void lna_compress(Isa isa, const cplx* in, std::size_t n, double sat, double gain,
+                  cplx* out) noexcept;
+
+}  // namespace uwb::detail

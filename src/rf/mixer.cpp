@@ -68,7 +68,7 @@ RealWaveform Upconverter::process(const CplxWaveform& baseband) const {
   return RealWaveform(std::move(rf), fs_);
 }
 
-CplxWaveform apply_iq_impairments(const CplxWaveform& x, const IqImpairments& imp) {
+void apply_iq_impairments(std::span<cplx> x, const IqImpairments& imp) {
   // Baseband-equivalent imbalance: y = a x + b conj(x) + dc, where
   // a = (gi + gq e^{-j phi})/2, b = (gi - gq e^{+j phi})/2.
   const double half_imb = db_to_amp(imp.gain_imbalance_db / 2.0);
@@ -79,11 +79,7 @@ CplxWaveform apply_iq_impairments(const CplxWaveform& x, const IqImpairments& im
   const cplx b = 0.5 * (gi - gq * e_plus);
   const cplx dc(imp.dc_offset_i, imp.dc_offset_q);
 
-  CplxVec out(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    out[i] = a * x[i] + b * std::conj(x[i]) + dc;
-  }
-  return CplxWaveform(std::move(out), x.sample_rate());
+  for (cplx& v : x) v = a * v + b * std::conj(v) + dc;
 }
 
 double image_rejection_ratio_db(const IqImpairments& imp) {

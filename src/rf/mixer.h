@@ -7,6 +7,8 @@
 /// direct-conversion impairments -- I/Q gain and phase imbalance, per-rail
 /// DC offsets, LO leakage. Upconversion is the adjoint for the transmitter.
 
+#include <span>
+
 #include "common/types.h"
 #include "common/waveform.h"
 #include "dsp/fir_filter.h"
@@ -66,11 +68,11 @@ class Upconverter {
   double gain_i_, gain_q_;
 };
 
-/// Applies I/Q impairments directly to a complex baseband signal -- the
+/// Applies I/Q impairments in place to a complex baseband signal -- the
 /// baseband-equivalent shortcut used by the BER simulations (avoids
 /// synthesizing 21+ GS/s passband). Models the same gain/phase imbalance
 /// and DC offsets as the passband path.
-CplxWaveform apply_iq_impairments(const CplxWaveform& x, const IqImpairments& imp);
+void apply_iq_impairments(std::span<cplx> x, const IqImpairments& imp);
 
 /// Image-rejection ratio implied by a gain/phase imbalance pair [dB].
 double image_rejection_ratio_db(const IqImpairments& imp);

@@ -39,17 +39,16 @@ double ComplexNotch::bandwidth_3db_hz() const noexcept {
   return fs_ * (1.0 - r_) / pi;
 }
 
-CplxWaveform ComplexNotch::process(const CplxWaveform& x) {
-  detail::require(x.sample_rate() == fs_, "ComplexNotch: sample-rate mismatch");
-  CplxVec out(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) {
+void ComplexNotch::process(std::span<cplx> x, double fs) {
+  detail::require(fs == fs_, "ComplexNotch: sample-rate mismatch");
+  for (cplx& v : x) {
     // y[n] = x[n] - e^{jw0} x[n-1] + r e^{jw0} y[n-1]
-    const cplx y = x[i] - zero_rot_ * prev_in_ + r_ * zero_rot_ * state_;
-    prev_in_ = x[i];
+    const cplx in = v;
+    const cplx y = in - zero_rot_ * prev_in_ + r_ * zero_rot_ * state_;
+    prev_in_ = in;
     state_ = y;
-    out[i] = y;
+    v = y;
   }
-  return CplxWaveform(std::move(out), fs_);
 }
 
 cplx ComplexNotch::response_at(double f_hz) const {

@@ -10,6 +10,8 @@
 ///  * ComplexNotch: first-order complex coefficient notch killing a single
 ///    signed baseband frequency, the natural form after direct conversion.
 
+#include <span>
+
 #include "common/types.h"
 #include "common/waveform.h"
 #include "dsp/biquad.h"
@@ -53,7 +55,9 @@ class ComplexNotch {
   /// Notch depth is infinite at f0; 3 dB width ~ fs (1-r)/pi.
   [[nodiscard]] double bandwidth_3db_hz() const noexcept;
 
-  [[nodiscard]] CplxWaveform process(const CplxWaveform& x);
+  /// Filters \p x, sampled at \p fs (which must be the notch's rate), in
+  /// place; the filter state carries over to the next call.
+  void process(std::span<cplx> x, double fs);
 
   /// Response at a frequency (verification).
   [[nodiscard]] cplx response_at(double f_hz) const;

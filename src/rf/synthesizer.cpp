@@ -24,10 +24,9 @@ double Synthesizer::tune(int channel) {
   return params_.settle_time_s;
 }
 
-RealVec Synthesizer::phase_noise(std::size_t n, double fs, Rng& rng) const {
-  RealVec theta(n, 0.0);
-  if (params_.phase_noise_rms_rad <= 0.0 || n == 0) return theta;
-
+template <typename Sink>
+void Synthesizer::walk_phase(std::size_t n, double fs, Rng& rng, Sink&& sink) const {
+  if (params_.phase_noise_rms_rad <= 0.0 || n == 0) return;
   // One-pole lowpass driven by white noise: theta[k] = a theta[k-1] + w[k].
   // Stationary variance = sigma_w^2 / (1 - a^2); scale to the target RMS.
   const double a = std::exp(-two_pi * params_.loop_bandwidth_hz / fs);
@@ -36,17 +35,18 @@ RealVec Synthesizer::phase_noise(std::size_t n, double fs, Rng& rng) const {
   double state = rng.gaussian(0.0, params_.phase_noise_rms_rad);  // stationary start
   for (std::size_t i = 0; i < n; ++i) {
     state = a * state + rng.gaussian(0.0, sigma_w);
-    theta[i] = state;
+    sink(i, state);
   }
+}
+
+RealVec Synthesizer::phase_noise(std::size_t n, double fs, Rng& rng) const {
+  RealVec theta(n, 0.0);
+  walk_phase(n, fs, rng, [&](std::size_t i, double t) { theta[i] = t; });
   return theta;
 }
 
-void Synthesizer::apply_phase_noise(CplxVec& x, double fs, Rng& rng) const {
-  if (params_.phase_noise_rms_rad <= 0.0) return;
-  const RealVec theta = phase_noise(x.size(), fs, rng);
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    x[i] *= std::polar(1.0, theta[i]);
-  }
+void Synthesizer::apply_phase_noise(std::span<cplx> x, double fs, Rng& rng) const {
+  walk_phase(x.size(), fs, rng, [&](std::size_t i, double t) { x[i] *= std::polar(1.0, t); });
 }
 
 }  // namespace uwb::rf

@@ -4,6 +4,8 @@
 ///        switching with settling time, and LO phase noise as a filtered
 ///        random-walk process ("PLL/DLL" block of the paper's Fig. 3).
 
+#include <span>
+
 #include "common/rng.h"
 #include "common/types.h"
 #include "pulse/band_plan.h"
@@ -38,11 +40,18 @@ class Synthesizer {
   /// configured RMS. All zeros when phase_noise_rms_rad == 0.
   [[nodiscard]] RealVec phase_noise(std::size_t n, double fs, Rng& rng) const;
 
-  /// Applies phase noise multiplicatively to a complex baseband waveform:
-  /// y[n] = x[n] e^{j theta[n]}.
-  void apply_phase_noise(CplxVec& x, double fs, Rng& rng) const;
+  /// Applies phase noise multiplicatively, in place, to complex baseband
+  /// at \p fs: x[n] *= e^{j theta[n]}, theta drawn as phase_noise() draws
+  /// it (same values, same draws), without materializing theta.
+  void apply_phase_noise(std::span<cplx> x, double fs, Rng& rng) const;
 
  private:
+  /// The phase walk behind phase_noise() and apply_phase_noise(): calls
+  /// \p sink(i, theta_i) for i = 0 .. n-1. Draws nothing when n == 0 or
+  /// the configured rms is zero.
+  template <typename Sink>
+  void walk_phase(std::size_t n, double fs, Rng& rng, Sink&& sink) const;
+
   const pulse::BandPlan& plan_;
   SynthesizerParams params_;
   int channel_ = 0;

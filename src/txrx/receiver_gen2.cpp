@@ -46,9 +46,26 @@ const phy::Modulator& Gen2Receiver::payload_modulator() {
   return *payload_mod_;
 }
 
-CplxWaveform Gen2Receiver::analog_chain(const CplxWaveform& rx, double noise_variance,
-                                        Rng& rng) {
-  return front_end_.process_baseband(rx, noise_variance, rng);
+const CplxWaveform& Gen2Receiver::digitize(const CplxWaveform& rx, double noise_variance,
+                                           Rng& rng) {
+  obs::StageTimer fe_timer(obs::Stage::kRxFrontend, rx.size());
+  const std::span<const cplx> analog =
+      front_end_.process(rx.samples(), rx.sample_rate(), noise_variance, rng);
+  ws_sampled_.resize(sampler_.output_size(analog.size(), rx.sample_rate()));
+  const std::size_t n =
+      sampler_.sample_to(analog.data(), analog.size(), rx.sample_rate(), rng, ws_sampled_.data());
+  fe_timer.finish();
+  obs::StageTimer adc_timer(obs::Stage::kAdcQuantize, n);
+  adc_i_.reset();
+  adc_q_.reset();
+  if (ws_codes_.sample_rate() != config_.adc_rate) {
+    ws_codes_ = CplxWaveform(std::move(ws_codes_.samples()), config_.adc_rate);
+  }
+  CplxVec& codes = ws_codes_.samples();
+  codes.resize(n);
+  adc::digitize_iq_to(ws_sampled_.data(), n, adc_i_, adc_q_, codes.data());
+  adc_timer.finish();
+  return ws_codes_;
 }
 
 Gen2RxResult Gen2Receiver::receive(const CplxWaveform& rx, const Gen2Transmitter& tx,
@@ -58,21 +75,10 @@ Gen2RxResult Gen2Receiver::receive(const CplxWaveform& rx, const Gen2Transmitter
   front_end_.clear_notch();
 
   // ---- Analog front end + sampling + conversion --------------------------
-  auto run_analog_digital = [&](Rng& r) {
-    obs::StageTimer fe_timer(obs::Stage::kRxFrontend, rx.size());
-    CplxWaveform fe = analog_chain(rx, options.noise_variance, r);
-    CplxWaveform sampled = sampler_.sample(fe, r);
-    fe_timer.finish();
-    obs::StageTimer adc_timer(obs::Stage::kAdcQuantize, sampled.size());
-    adc_i_.reset();
-    adc_q_.reset();
-    CplxVec codes = adc::digitize_iq(sampled.samples(), adc_i_, adc_q_);
-    adc_timer.finish();
-    return CplxWaveform(std::move(codes), config_.adc_rate);
-  };
   Rng analog_rng = rng.fork(0xA11A);
   Rng analog_rng_replay = analog_rng;  // identical stream for the notch re-run
-  CplxWaveform adc_out = run_analog_digital(analog_rng);
+  // A view of the receiver's workspace: the notch re-run below refills it.
+  const CplxWaveform& adc_out = digitize(rx, options.noise_variance, analog_rng);
 
   // ---- Spectral monitoring (digital back end) ----------------------------
   if (options.run_spectral_monitor && adc_out.size() >= monitor_.config().fft_size) {
@@ -81,7 +87,7 @@ Gen2RxResult Gen2Receiver::receive(const CplxWaveform& rx, const Gen2Transmitter
       // The monitor's estimate drives the front-end notch; the packet is
       // reprocessed through the (analog) chain with the notch engaged.
       front_end_.set_notch(result.interferer.frequency_hz, config_.analog_fs);
-      adc_out = run_analog_digital(analog_rng_replay);
+      (void)digitize(rx, options.noise_variance, analog_rng_replay);
       result.notch_applied = true;
     }
   }

@@ -14,6 +14,7 @@
 #include "common/rng.h"
 #include "common/types.h"
 #include "common/waveform.h"
+#include "dsp/aligned.h"
 #include "estimation/channel_estimator.h"
 #include "estimation/spectral_monitor.h"
 #include "txrx/transceiver_config.h"
@@ -70,11 +71,16 @@ class Gen2Receiver {
                                      const Gen2RxOptions& options, Rng& rng,
                                      const BitVec* expected_payload = nullptr);
 
+  /// One pass of the analog front end, the sample-and-hold and both SARs
+  /// over a capture (the rx_frontend and adc_quantize stages; receive()
+  /// runs it once, and again when auto-notch engages the notch).
+  /// \p noise_variance is the channel N0 the LNA's excess noise refers to.
+  /// Returns the ADC output, held in the receiver's workspace until the
+  /// next call; once the workspace has grown to the capture's size, a call
+  /// allocates nothing.
+  const CplxWaveform& digitize(const CplxWaveform& rx, double noise_variance, Rng& rng);
+
  private:
-  /// One pass of the analog + digital chain (factored out so auto-notch can
-  /// re-run it after tuning the notch).
-  [[nodiscard]] CplxWaveform analog_chain(const CplxWaveform& rx, double noise_variance,
-                                          Rng& rng);
 
   /// The payload demapper for the *current* config_.modulation. Cached; the
   /// instance is rebuilt only when mutable_config() changed the scheme
@@ -91,6 +97,8 @@ class Gen2Receiver {
   estimation::SpectralMonitor monitor_;
   std::unique_ptr<phy::Modulator> payload_mod_;  ///< see payload_modulator()
   double payload_mod_prf_hz_ = 0.0;              ///< PRF payload_mod_ was built for
+  dsp::AlignedVec<cplx> ws_sampled_;  ///< sample-and-hold output (digitize())
+  CplxWaveform ws_codes_;             ///< ADC output (digitize())
 };
 
 }  // namespace uwb::txrx

@@ -541,6 +541,30 @@ TEST(FirFilter, ConvolveSameCompensatesGroupDelay) {
   EXPECT_NEAR(y[6], 0.25, 1e-12);
 }
 
+TEST(FirFilter, ComplexSameToMatchesConvolveSameBytes) {
+  // The caller-buffer form of convolve_same(CplxVec, RealVec) on both sides
+  // of the FFT crossover (64 taps for complex x real), and with the FFT
+  // policy off.
+  Rng rng(17);
+  for (const bool fft : {true, false}) {
+    const FastConvolveGuard policy(fft);
+    for (const std::size_t taps : {1, 3, 63, 64, 129}) {
+      for (const std::size_t n : {1, 40, 1000, 5003}) {
+        CplxVec x(n);
+        for (cplx& v : x) v = rng.cgaussian();
+        RealVec h(taps);
+        for (double& t : h) t = rng.gaussian();
+        const CplxVec want = convolve_same(x, h);
+        CplxVec got(n);
+        convolve_same_to(x.data(), n, h, got.data());
+        ASSERT_EQ(want.size(), n);
+        EXPECT_EQ(test::first_byte_mismatch(got.data(), want.data(), n), n)
+            << "fft " << fft << " taps " << taps << " n " << n;
+      }
+    }
+  }
+}
+
 // --------------------------------------------------------------- biquad ----
 
 TEST(Biquad, NotchKillsCenterKeepsFar) {

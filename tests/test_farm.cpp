@@ -533,15 +533,20 @@ TEST_F(FarmTest, WorkerExitCodeContract) {
 }
 
 TEST_F(FarmTest, SigtermFlushesValidPartialDocAndInterruptedManifest) {
-  // Full-budget sweep (minutes of work) killed almost immediately: the
-  // worker must exit kExitInterrupted with a parseable result document
-  // holding a completed-point prefix, and its manifest must say so.
+  // A sweep with minutes of work killed almost immediately: the worker
+  // must exit kExitInterrupted with a parseable result document holding a
+  // completed-point prefix, and its manifest must say so. The scenario's
+  // own stop rule finishes the 6 points in well under a second on a 4-core
+  // host, so the budget is raised 100-fold to keep the sweep running past
+  // the kill.
   const RunPaths paths{path("run")};
   FarmSpec spec = tiny_spec(1);
   init_run(tiny_scenario(), spec, paths);
   const std::string out = path("partial.json");
   const std::string cmd = std::string(UWB_SWEEP_BINARY) + " --file " +
-                          paths.scenario_json() + " --quiet --out " + out +
+                          paths.scenario_json() +
+                          " --min-errors 4000 --max-bits 12000000 --max-trials 1000000"
+                          " --quiet --out " + out +
                           " >/dev/null 2>&1 & pid=$!; sleep 0.5;"
                           " kill -TERM $pid; wait $pid";
   const int status = std::system(("sh -c '" + cmd + "'").c_str());
