@@ -1,8 +1,8 @@
 #pragma once
 /// \file bench_util.h
-/// \brief Shared plumbing for the experiment benches: Monte-Carlo budgets
-///        (scaled down when UWB_BENCH_FAST is set), metric helpers, and
-///        uniform headers so EXPERIMENTS.md can quote outputs verbatim.
+/// \brief Shared plumbing for the perf benches: Monte-Carlo budgets
+///        (scaled down when UWB_BENCH_FAST is set), worker count, and a
+///        uniform seed header.
 
 #include <algorithm>
 #include <cstdio>
@@ -31,14 +31,6 @@ inline sim::BerStop stop_rule(std::size_t min_errors = 40, std::size_t max_bits 
   stop.max_bits = max_bits;
   stop.max_trials = 100000;
   return fast_mode() ? sim::scale_stop(stop, 4, 8) : sim::scale_stop(stop, 1, 1);
-}
-
-/// Mean of a recorded metric on a sweep point, or \p fallback when the
-/// metric has no observations (e.g. sync time with zero detections).
-inline double metric_mean(const sim::MetricSet& metrics, const std::string& name,
-                          double fallback = 0.0) {
-  const sim::MetricStats* stats = metrics.find(name);
-  return stats == nullptr || stats->count == 0 ? fallback : stats->mean();
 }
 
 /// Worker count for engine sweeps: UWB_BENCH_WORKERS when set, else 0

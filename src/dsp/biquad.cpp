@@ -48,39 +48,6 @@ BiquadCoeffs design_biquad_lowpass(double f0_hz, double q, double fs) {
   return c;
 }
 
-BiquadCoeffs design_biquad_highpass(double f0_hz, double q, double fs) {
-  check_f0(f0_hz, fs);
-  detail::require(q > 0.0, "design_biquad_highpass: q must be positive");
-  const double w0 = two_pi * f0_hz / fs;
-  const double alpha = std::sin(w0) / (2.0 * q);
-  const double cw = std::cos(w0);
-  const double a0 = 1.0 + alpha;
-  BiquadCoeffs c;
-  c.b0 = (1.0 + cw) / 2.0 / a0;
-  c.b1 = -(1.0 + cw) / a0;
-  c.b2 = (1.0 + cw) / 2.0 / a0;
-  c.a1 = -2.0 * cw / a0;
-  c.a2 = (1.0 - alpha) / a0;
-  return c;
-}
-
-BiquadCoeffs design_peaking(double f0_hz, double q, double gain_db, double fs) {
-  check_f0(f0_hz, fs);
-  detail::require(q > 0.0, "design_peaking: q must be positive");
-  const double A = std::pow(10.0, gain_db / 40.0);
-  const double w0 = two_pi * f0_hz / fs;
-  const double alpha = std::sin(w0) / (2.0 * q);
-  const double cw = std::cos(w0);
-  const double a0 = 1.0 + alpha / A;
-  BiquadCoeffs c;
-  c.b0 = (1.0 + alpha * A) / a0;
-  c.b1 = -2.0 * cw / a0;
-  c.b2 = (1.0 - alpha * A) / a0;
-  c.a1 = -2.0 * cw / a0;
-  c.a2 = (1.0 - alpha / A) / a0;
-  return c;
-}
-
 cplx biquad_response_at(const BiquadCoeffs& c, double f_hz, double fs) {
   const double w = two_pi * f_hz / fs;
   const cplx z1 = std::polar(1.0, -w);

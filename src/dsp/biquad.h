@@ -22,12 +22,6 @@ BiquadCoeffs design_notch(double f0_hz, double q, double fs);
 /// RBJ second-order Butterworth-style lowpass at \p f0_hz.
 BiquadCoeffs design_biquad_lowpass(double f0_hz, double q, double fs);
 
-/// RBJ second-order highpass at \p f0_hz.
-BiquadCoeffs design_biquad_highpass(double f0_hz, double q, double fs);
-
-/// RBJ peaking EQ (positive gain_db boosts, negative cuts) at f0.
-BiquadCoeffs design_peaking(double f0_hz, double q, double gain_db, double fs);
-
 /// Complex response of a biquad at frequency \p f (for verification).
 cplx biquad_response_at(const BiquadCoeffs& c, double f_hz, double fs);
 

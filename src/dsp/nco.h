@@ -1,7 +1,7 @@
 #pragma once
 /// \file nco.h
 /// \brief Numerically controlled oscillator: phase-accumulator quadrature
-///        tone generation for mixers, synthesizer models and interferers.
+///        tone generation for test tones and interferers.
 
 #include <cmath>
 
@@ -11,37 +11,20 @@
 
 namespace uwb::dsp {
 
-/// Quadrature oscillator with runtime-adjustable frequency and phase.
+/// Fixed-frequency quadrature oscillator.
 class Nco {
  public:
   /// \p freq_hz may be negative (spectral inversion); |freq| must be < fs/2.
   Nco(double freq_hz, double fs, double initial_phase_rad = 0.0)
-      : fs_(fs), phase_(initial_phase_rad) {
+      : phase_(initial_phase_rad) {
     detail::require(fs > 0.0, "Nco: fs must be positive");
-    set_frequency(freq_hz);
+    detail::require(std::abs(freq_hz) < fs / 2.0, "Nco: |freq| must be < fs/2");
+    step_ = two_pi * freq_hz / fs;
   }
-
-  void set_frequency(double freq_hz) {
-    detail::require(std::abs(freq_hz) < fs_ / 2.0, "Nco: |freq| must be < fs/2");
-    freq_ = freq_hz;
-    step_ = two_pi * freq_hz / fs_;
-  }
-
-  [[nodiscard]] double frequency() const noexcept { return freq_; }
-  [[nodiscard]] double phase() const noexcept { return phase_; }
-  void set_phase(double phase_rad) noexcept { phase_ = wrap_phase(phase_rad); }
 
   /// Advances one sample and returns exp(j phase): cos on I, sin on Q.
   cplx step() noexcept {
     const cplx out(std::cos(phase_), std::sin(phase_));
-    phase_ = wrap_phase(phase_ + step_);
-    return out;
-  }
-
-  /// Advances one sample with an extra per-sample phase perturbation
-  /// (used to inject synthesizer phase noise).
-  cplx step_with_jitter(double extra_phase_rad) noexcept {
-    const cplx out(std::cos(phase_ + extra_phase_rad), std::sin(phase_ + extra_phase_rad));
     phase_ = wrap_phase(phase_ + step_);
     return out;
   }
@@ -53,16 +36,7 @@ class Nco {
     return out;
   }
 
-  /// Generates \p n samples of the real cosine rail only.
-  RealVec generate_real(std::size_t n) {
-    RealVec out(n);
-    for (auto& v : out) v = step().real();
-    return out;
-  }
-
  private:
-  double fs_;
-  double freq_ = 0.0;
   double phase_ = 0.0;
   double step_ = 0.0;
 };

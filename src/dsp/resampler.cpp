@@ -15,6 +15,17 @@ std::vector<T> zero_stuff(const std::vector<T>& x, int factor) {
   return out;
 }
 
+/// Keeps every factor-th sample of an already filtered signal.
+template <typename T>
+std::vector<T> keep_every(const std::vector<T>& x, int factor) {
+  std::vector<T> out;
+  out.reserve(x.size() / static_cast<std::size_t>(factor) + 1);
+  for (std::size_t i = 0; i < x.size(); i += static_cast<std::size_t>(factor)) {
+    out.push_back(x[i]);
+  }
+  return out;
+}
+
 }  // namespace
 
 RealWaveform upsample(const RealWaveform& x, int factor, std::size_t filter_taps) {
@@ -45,7 +56,7 @@ RealWaveform decimate(const RealWaveform& x, int factor, std::size_t filter_taps
   const double new_fs = x.sample_rate() / factor;
   const RealVec taps = design_lowpass(0.45 * new_fs, x.sample_rate(), filter_taps);
   auto filtered = convolve_same(x.samples(), taps);
-  return RealWaveform(downsample_raw(filtered, factor), new_fs);
+  return RealWaveform(keep_every(filtered, factor), new_fs);
 }
 
 CplxWaveform decimate(const CplxWaveform& x, int factor, std::size_t filter_taps) {
@@ -54,7 +65,7 @@ CplxWaveform decimate(const CplxWaveform& x, int factor, std::size_t filter_taps
   const double new_fs = x.sample_rate() / factor;
   const RealVec taps = design_lowpass(0.45 * new_fs, x.sample_rate(), filter_taps);
   auto filtered = convolve_same(x.samples(), taps);
-  return CplxWaveform(downsample_raw(filtered, factor), new_fs);
+  return CplxWaveform(keep_every(filtered, factor), new_fs);
 }
 
 }  // namespace uwb::dsp

@@ -24,18 +24,4 @@ RealWaveform decimate(const RealWaveform& x, int factor, std::size_t filter_taps
 /// Complex version of decimate().
 CplxWaveform decimate(const CplxWaveform& x, int factor, std::size_t filter_taps = 63);
 
-/// Keeps every factor-th sample with NO filtering -- models an ADC sampling
-/// an already band-limited analog waveform (the common case in this library,
-/// where the analog chain has its own anti-alias filter).
-template <typename T>
-std::vector<T> downsample_raw(const std::vector<T>& x, int factor, std::size_t phase = 0) {
-  std::vector<T> out;
-  if (factor <= 0) return out;
-  out.reserve(x.size() / static_cast<std::size_t>(factor) + 1);
-  for (std::size_t i = phase; i < x.size(); i += static_cast<std::size_t>(factor)) {
-    out.push_back(x[i]);
-  }
-  return out;
-}
-
 }  // namespace uwb::dsp

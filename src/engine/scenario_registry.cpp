@@ -405,9 +405,9 @@ void register_builtins(ScenarioRegistry& registry) {
 
   registry.add("gen2_pulse_shape", [] {
     // E1's link-level half: does the Fig. 4 pulse choice (RRC vs Gaussian
-    // envelope, same 500 MHz bandwidth) cost BER on AWGN? Spectral
-    // observables stay in bench_fig4_pulse; this grid is the engine-run
-    // companion.
+    // envelope, same 500 MHz bandwidth) cost BER on AWGN? The spectral
+    // observables (bandwidth, duration, FCC mask) are checked in
+    // tests/test_pulse.cpp.
     txrx::TrialOptions options;
     options.payload_bits = 300;
     options.cm = 0;

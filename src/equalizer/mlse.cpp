@@ -73,8 +73,9 @@ BitVec MlseDemodulator::demodulate(const CplxVec& observations) const {
     int16_t prev_state;
     int8_t input;
   };
-  std::vector<std::vector<Survivor>> survivors(
-      n, std::vector<Survivor>(static_cast<std::size_t>(ns), {0, 0}));
+  // One flat n x ns table, row t at t * ns: one allocation per call.
+  const std::size_t row = static_cast<std::size_t>(ns);
+  std::vector<Survivor> survivors(n * row, {0, 0});
 
   const int mask = ns - 1;
   for (std::size_t t = 0; t < n; ++t) {
@@ -89,8 +90,8 @@ BitVec MlseDemodulator::demodulate(const CplxVec& observations) const {
         const int ns_idx = ((s << 1) | b) & mask;
         if (m < next_metric[static_cast<std::size_t>(ns_idx)]) {
           next_metric[static_cast<std::size_t>(ns_idx)] = m;
-          survivors[t][static_cast<std::size_t>(ns_idx)] = {static_cast<int16_t>(s),
-                                                            static_cast<int8_t>(b)};
+          survivors[t * row + static_cast<std::size_t>(ns_idx)] = {static_cast<int16_t>(s),
+                                                                   static_cast<int8_t>(b)};
         }
       }
     }
@@ -109,7 +110,7 @@ BitVec MlseDemodulator::demodulate(const CplxVec& observations) const {
   BitVec bits(n);
   int state = best_state;
   for (std::size_t t = n; t-- > 0;) {
-    const Survivor& sv = survivors[t][static_cast<std::size_t>(state)];
+    const Survivor& sv = survivors[t * row + static_cast<std::size_t>(state)];
     bits[t] = static_cast<uint8_t>(sv.input);
     state = sv.prev_state;
   }

@@ -114,8 +114,24 @@ void check_monotone(const io::ResultDoc& doc, const io::JsonValue& check,
   const io::JsonValue* where = check.find("where");
   const io::JsonValue* group_by = check.find("group_by");
 
+  // Axis position: the tag's index in `order` when given (a non-numeric
+  // axis such as a backend ladder), else the tag parsed as a number.
+  const io::JsonValue* order = check.find("order");
+  const auto position = [&](const io::ResultPoint& point) {
+    const std::string value = tag_of(point, axis);
+    if (order == nullptr) return parse_literal(value, "axis " + axis);
+    const auto& items = order->items();
+    for (std::size_t i = 0; i < items.size(); ++i) {
+      if (items[i].as_string() == value) return static_cast<double>(i);
+    }
+    throw InvalidArgument("verify: monotone '" + metric + "': " + axis + " value '" +
+                          value + "' of point " + std::to_string(point.index) +
+                          " is not in its order list");
+  };
+
   // Group key = the group_by tag values joined; one group when absent.
-  std::map<std::string, std::vector<const io::ResultPoint*>> groups;
+  // Each group holds (axis position, point) pairs.
+  std::map<std::string, std::vector<std::pair<double, const io::ResultPoint*>>> groups;
   for (const io::ResultPoint* point : select(doc, where)) {
     std::string key;
     if (group_by != nullptr) {
@@ -123,7 +139,7 @@ void check_monotone(const io::ResultDoc& doc, const io::JsonValue& check,
         key += tag_of(*point, tag.as_string()) + "|";
       }
     }
-    groups[key].push_back(point);
+    groups[key].emplace_back(position(*point), point);
   }
   if (groups.empty()) {
     report.failures.push_back("monotone '" + metric + "' vs " + axis +
@@ -132,10 +148,7 @@ void check_monotone(const io::ResultDoc& doc, const io::JsonValue& check,
   }
   for (auto& [key, points] : groups) {
     std::stable_sort(points.begin(), points.end(),
-                     [&](const io::ResultPoint* a, const io::ResultPoint* b) {
-                       return parse_literal(tag_of(*a, axis), "axis " + axis) <
-                              parse_literal(tag_of(*b, axis), "axis " + axis);
-                     });
+                     [](const auto& a, const auto& b) { return a.first < b.first; });
     if (points.size() < 2) {
       report.failures.push_back("monotone '" + metric + "' vs " + axis + " (group " +
                                 (key.empty() ? "all" : key) +
@@ -143,14 +156,16 @@ void check_monotone(const io::ResultDoc& doc, const io::JsonValue& check,
       continue;
     }
     for (std::size_t i = 1; i < points.size(); ++i) {
-      const double prev = point_value(*points[i - 1], metric);
-      const double curr = point_value(*points[i], metric);
+      const io::ResultPoint& before = *points[i - 1].second;
+      const io::ResultPoint& after = *points[i].second;
+      const double prev = point_value(before, metric);
+      const double curr = point_value(after, metric);
       const bool bad = direction == "nonincreasing" ? curr > prev + tolerance
                                                     : curr < prev - tolerance;
       if (bad) {
         report.failures.push_back(
-            "monotone '" + metric + "' vs " + axis + ": '" + points[i - 1]->label +
-            "' -> '" + points[i]->label + "' goes " + io::format_double(prev) +
+            "monotone '" + metric + "' vs " + axis + ": '" + before.label + "' -> '" +
+            after.label + "' goes " + io::format_double(prev) +
             " -> " + io::format_double(curr) + ", violating " + direction +
             (tolerance > 0.0 ? " (tolerance " + io::format_double(tolerance) + ")"
                              : ""));

@@ -21,6 +21,10 @@
 ///       {"check": "monotone", "metric": "ber", "axis": "ebn0_db",
 ///        "group_by": ["channel"],       // optional; default: one group
 ///        "direction": "nonincreasing",  // or "nondecreasing"
+///        "order": ["mf_only", "rake"],  // optional: axis values in order,
+///                                       // for a non-numeric axis (default:
+///                                       // the tag parsed as a number); a
+///                                       // value missing from it throws
 ///        "tolerance": 0},               // optional slack
 ///       {"check": "accounting"},        // errors <= bits, trials within
 ///                                       // the stop rule, on every point

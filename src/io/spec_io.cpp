@@ -662,6 +662,8 @@ JsonValue to_json(const engine::ScenarioSpec& scenario) {
   return out;
 }
 
+namespace {
+
 engine::ScenarioSpec scenario_from_json(const JsonValue& v) {
   engine::ScenarioSpec scenario;
   for (const auto& [key, val] : v.members()) {
@@ -681,15 +683,9 @@ engine::ScenarioSpec scenario_from_json(const JsonValue& v) {
   return scenario;
 }
 
+}  // namespace
+
 // ------------------------------------------------------------------ files ----
-
-std::string scenario_to_json_text(const engine::ScenarioSpec& scenario) {
-  return dump_json_pretty(to_json(scenario));
-}
-
-engine::ScenarioSpec scenario_from_json_text(const std::string& text) {
-  return scenario_from_json(parse_json(text));
-}
 
 void save_scenario_file(const engine::ScenarioSpec& scenario, const std::string& path) {
   const std::filesystem::path p(path);
@@ -699,7 +695,7 @@ void save_scenario_file(const engine::ScenarioSpec& scenario, const std::string&
   }
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   detail::require(out.good(), "spec: cannot open '" + path + "' for writing");
-  out << scenario_to_json_text(scenario);
+  out << dump_json_pretty(to_json(scenario));
   detail::require(out.good(), "spec: write to '" + path + "' failed");
 }
 
@@ -708,7 +704,7 @@ engine::ScenarioSpec load_scenario_file(const std::string& path) {
   detail::require(in.good(), "spec: cannot open '" + path + "' for reading");
   std::ostringstream buffer;
   buffer << in.rdbuf();
-  return scenario_from_json_text(buffer.str());
+  return scenario_from_json(parse_json(buffer.str()));
 }
 
 }  // namespace uwb::io

@@ -42,15 +42,8 @@ namespace uwb::io {
 [[nodiscard]] txrx::LinkSpec link_spec_from_json(const JsonValue& v);
 [[nodiscard]] sim::BerStop ber_stop_from_json(const JsonValue& v);
 [[nodiscard]] engine::PointSpec point_spec_from_json(const JsonValue& v);
-[[nodiscard]] engine::ScenarioSpec scenario_from_json(const JsonValue& v);
 
 // ----------------------------------------------------------------- files ----
-
-/// Pretty-printed scenario document.
-[[nodiscard]] std::string scenario_to_json_text(const engine::ScenarioSpec& scenario);
-
-/// Parses a scenario document from text.
-[[nodiscard]] engine::ScenarioSpec scenario_from_json_text(const std::string& text);
 
 /// Writes \p scenario to \p path (parent directories are created).
 void save_scenario_file(const engine::ScenarioSpec& scenario, const std::string& path);

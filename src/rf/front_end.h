@@ -8,7 +8,7 @@
 /// The receive chain runs baseband-equivalent: complex baseband at the
 /// analog rate carries the impairments (compression, I/Q imbalance, DC
 /// offset, phase noise, notch, AGC) without synthesizing a 21+ GS/s
-/// carrier. The passband mixer itself is rf::Downconverter.
+/// carrier.
 ///
 /// Data flow of process(), over two grow-only buffers the front end owns
 /// (one front end per receiver, so one workspace per receiver):

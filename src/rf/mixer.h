@@ -3,15 +3,16 @@
 /// \brief Quadrature conversion between real passband and complex baseband:
 ///        the "direct conversion architecture" of the paper's title.
 ///
-/// Downconversion: y_bb = LPF( 2 x_rf e^{-j 2 pi fc t} ), with the classic
-/// direct-conversion impairments -- I/Q gain and phase imbalance, per-rail
-/// DC offsets, LO leakage. Upconversion is the adjoint for the transmitter.
+/// Upconversion puts the transmitter's complex baseband on the carrier with
+/// the classic direct-conversion impairments -- I/Q gain and phase
+/// imbalance, per-rail DC offsets, LO leakage. The receive side runs
+/// baseband-equivalent: apply_iq_impairments models the same imbalance on
+/// complex baseband without synthesizing the carrier.
 
 #include <span>
 
 #include "common/types.h"
 #include "common/waveform.h"
-#include "dsp/fir_filter.h"
 
 namespace uwb::rf {
 
@@ -27,27 +28,6 @@ struct IqImpairments {
     return gain_imbalance_db == 0.0 && phase_imbalance_rad == 0.0 && dc_offset_i == 0.0 &&
            dc_offset_q == 0.0 && lo_leakage_db <= -99.0;
   }
-};
-
-/// Quadrature downconverter (RF real passband -> complex baseband).
-class Downconverter {
- public:
-  /// \p lo_freq_hz is the LO (channel center); \p baseband_cutoff_hz the
-  /// post-mix lowpass edge; \p fs the passband sample rate.
-  Downconverter(double lo_freq_hz, double baseband_cutoff_hz, double fs,
-                const IqImpairments& impairments = {}, std::size_t lpf_taps = 127);
-
-  [[nodiscard]] double lo_frequency() const noexcept { return lo_freq_; }
-
-  /// Converts; output remains at the passband sample rate (decimate after).
-  [[nodiscard]] CplxWaveform process(const RealWaveform& rf) const;
-
- private:
-  double lo_freq_;
-  double fs_;
-  IqImpairments imp_;
-  RealVec lpf_;
-  double gain_i_, gain_q_;
 };
 
 /// Quadrature upconverter (complex baseband -> RF real passband).

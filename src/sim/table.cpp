@@ -64,12 +64,6 @@ std::string Table::db(double v, int precision) {
   return buf;
 }
 
-std::string Table::percent(double fraction, int precision) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.*f%%", precision, 100.0 * fraction);
-  return buf;
-}
-
 std::string banner(const std::string& title) {
   return "\n=== " + title + " ===\n";
 }

@@ -1,8 +1,7 @@
 #pragma once
 /// \file table.h
-/// \brief Fixed-width console tables. Every bench prints its paper
-///        figure/table reproduction through this, so outputs are uniform
-///        and diffable (EXPERIMENTS.md records them).
+/// \brief Fixed-width console tables: the benches and examples print their
+///        measurements through this, so outputs are uniform and diffable.
 
 #include <iosfwd>
 #include <string>
@@ -26,7 +25,6 @@ class Table {
   static std::string sci(double v, int precision = 2);
   static std::string integer(long long v);
   static std::string db(double v, int precision = 1);
-  static std::string percent(double fraction, int precision = 1);
 
  private:
   std::vector<std::string> headers_;

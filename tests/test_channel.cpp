@@ -15,7 +15,6 @@
 #include "channel/awgn.h"
 #include "channel/cir.h"
 #include "channel/interferer.h"
-#include "channel/path_loss.h"
 #include "channel/saleh_valenzuela.h"
 #include "common/isa.h"
 #include "common/math_utils.h"
@@ -57,6 +56,26 @@ TEST(Cir, StrongestAndCapture) {
   EXPECT_DOUBLE_EQ(std::abs(top1.taps()[0].gain), 2.0);
   EXPECT_NEAR(cir.energy_capture(1), 4.0 / 5.25, 1e-12);
   EXPECT_NEAR(cir.energy_capture(3), 1.0, 1e-12);
+
+  // S-V realizations: "the energy spread caused by the multipath can be
+  // compensated using a RAKE receiver" -- more fingers never capture less,
+  // and the sparse CM1 concentrates more energy in 8 fingers than CM4.
+  const std::size_t fingers[] = {1, 2, 4, 8, 16};
+  double capture_at_8[5] = {};
+  for (int cm = 1; cm <= 4; ++cm) {
+    const SalehValenzuela sv(cm_by_index(cm));
+    Rng rng(0xE7 + static_cast<std::uint64_t>(cm));
+    double mean[5] = {};
+    for (int r = 0; r < 40; ++r) {
+      const Cir realization = sv.realize(rng);
+      for (int k = 0; k < 5; ++k) mean[k] += realization.energy_capture(fingers[k]) / 40.0;
+    }
+    for (int k = 1; k < 5; ++k) {
+      EXPECT_GE(mean[k], mean[k - 1]) << "CM" << cm << " N=" << fingers[k];
+    }
+    capture_at_8[cm] = mean[3];
+  }
+  EXPECT_GE(capture_at_8[1], capture_at_8[4]);
 }
 
 TEST(Cir, TruncatedDropsWeakTaps) {
@@ -425,43 +444,6 @@ TEST(Antenna, ImpulseResponseAddsToChannel) {
 
 TEST(Antenna, RejectsLowSampleRate) {
   EXPECT_THROW(AntennaModel(AntennaParams{}, 10e9), InvalidArgument);
-}
-
-// ------------------------------------------------------------ path loss ----
-
-TEST(PathLoss, FreeSpaceKnownValue) {
-  // FSPL at 1 m, 4 GHz: 20 log10(4 pi * 4e9 / c) ~ 44.5 dB.
-  EXPECT_NEAR(free_space_path_loss_db(1.0, 4e9), 44.5, 0.2);
-  // +6 dB per distance doubling.
-  EXPECT_NEAR(free_space_path_loss_db(2.0, 4e9) - free_space_path_loss_db(1.0, 4e9), 6.02,
-              0.05);
-}
-
-TEST(PathLoss, FccLimitedTxPower) {
-  // -41.3 dBm/MHz over 500 MHz: -41.3 + 27 = -14.3 dBm.
-  EXPECT_NEAR(fcc_limited_tx_power_dbm(500e6), -14.3, 0.05);
-}
-
-TEST(PathLoss, LinkBudgetSupportsPaperRates) {
-  // Gen-2 at 100 Mbps over ~4 m must close with reasonable margin
-  // ("high data rates over short distances").
-  LinkBudget budget;
-  budget.tx_power_dbm = fcc_limited_tx_power_dbm(500e6);
-  budget.distance_m = 4.0;
-  budget.bit_rate_hz = 100e6;
-  EXPECT_GT(budget.ebn0_db(), 6.0);
-  // And the usable range for 100 Mbps is a handful of meters, not hundreds.
-  const double d_max = budget.max_distance_m(10.0);
-  EXPECT_GT(d_max, 2.0);
-  EXPECT_LT(d_max, 60.0);
-}
-
-TEST(PathLoss, LowerRateBuysRange) {
-  LinkBudget fast;
-  fast.bit_rate_hz = 100e6;
-  LinkBudget slow = fast;
-  slow.bit_rate_hz = 1e6;
-  EXPECT_GT(slow.max_distance_m(10.0), fast.max_distance_m(10.0));
 }
 
 }  // namespace

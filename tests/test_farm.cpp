@@ -275,6 +275,31 @@ TEST(Verify, CatchesViolations) {
   EXPECT_FALSE(accounting.ok());
 }
 
+TEST(Verify, MonotoneOrdersANonNumericAxisByItsOrderList) {
+  // A backend axis has no numeric value: `order` ranks its tags. BER falls
+  // 0.1 -> 0.02 -> 0.004 from the matched filter to RAKE+MLSE.
+  io::ResultDoc doc = sample_doc();
+  const char* backends[] = {"mf_only", "rake", "rake_mlse"};
+  for (std::size_t i = 0; i < doc.points.size(); ++i) {
+    doc.points[i].tags.emplace_back("backend", backends[i]);
+  }
+  const auto monotone = [](const std::string& order) {
+    return expectations("[{\"check\": \"monotone\", \"metric\": \"ber\", "
+                        "\"axis\": \"backend\", \"direction\": \"nonincreasing\", "
+                        "\"order\": " + order + "}]");
+  };
+  EXPECT_TRUE(verify_result(doc, monotone("[\"mf_only\", \"rake\", \"rake_mlse\"]")).ok());
+
+  // The inverted ladder makes BER rise at every step.
+  const VerifyReport inverted =
+      verify_result(doc, monotone("[\"rake_mlse\", \"rake\", \"mf_only\"]"));
+  EXPECT_EQ(inverted.failures.size(), 2u);
+
+  // A tag the list does not rank is a stale expectation, not a pass.
+  EXPECT_THROW((void)verify_result(doc, monotone("[\"mf_only\", \"rake_mlse\"]")),
+               InvalidArgument);
+}
+
 TEST(Verify, CiContainsChecksIntervalsAgainstValueOrOwnBer) {
   io::ResultDoc doc = sample_doc();
   for (io::ResultPoint& point : doc.points) {

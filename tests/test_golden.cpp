@@ -19,6 +19,7 @@
 #include "engine/sinks.h"
 #include "engine/sweep_engine.h"
 #include "farm/farm_state.h"
+#include "io/json.h"
 
 namespace uwb {
 namespace {
@@ -73,6 +74,23 @@ TEST(GoldenScenarios, EveryBuiltinScenarioIsPinned) {
   for (const auto& name : names) {
     EXPECT_TRUE(pinned_digests().count(name))
         << "unpinned scenario " << name << " -- run the digest test to get its pin";
+  }
+}
+
+TEST(GoldenScenarios, EveryBuiltinScenarioHasAnExpectationsFile) {
+  // Each scenario states its paper claim as bench/expectations/<name>.json,
+  // checked in CI by uwb_farm verify against a full run of the scenario.
+  for (const auto& name : engine::ScenarioRegistry::global().names()) {
+    const std::string path = std::string(UWB_EXPECTATIONS_DIR) + "/" + name + ".json";
+    SCOPED_TRACE(path);
+    ASSERT_TRUE(std::ifstream(path).good()) << "no expectations file for " << name;
+    const io::JsonValue expectations = io::parse_json(farm::read_file(path));
+    const io::JsonValue* scenario = expectations.find("scenario");
+    ASSERT_NE(scenario, nullptr);
+    EXPECT_EQ(scenario->as_string(), name);
+    const io::JsonValue* points = expectations.find("points");
+    ASSERT_NE(points, nullptr);
+    EXPECT_EQ(points->as_uint64(), engine::ScenarioRegistry::global().make(name).points.size());
   }
 }
 

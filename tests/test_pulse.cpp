@@ -13,9 +13,46 @@
 #include "pulse/pulse_shape.h"
 #include "pulse/pulse_train.h"
 #include "pulse/spectral_mask.h"
+#include "rf/mixer.h"
 
 namespace uwb::pulse {
 namespace {
+
+/// Random-polarity train of \p burst every \p spacing samples: a
+/// continuous spectrum shaped by |P(f)|^2.
+RealWaveform polarity_train(const RealWaveform& burst, std::size_t length,
+                            std::size_t spacing, std::uint64_t seed) {
+  Rng rng(seed);
+  RealWaveform train(length, burst.sample_rate());
+  for (std::size_t start = 0; start + burst.size() < length; start += spacing) {
+    RealWaveform copy = burst;
+    copy.scale(rng.sign());
+    train.add(copy, start);
+  }
+  return train;
+}
+
+/// Fig. 4's observable: a 500 MHz \p shape envelope at 40 GS/s.
+RealWaveform fig4_envelope(PulseShape shape) {
+  PulseSpec spec;
+  spec.shape = shape;
+  spec.bandwidth_hz = 500e6;
+  spec.sample_rate_hz = 40e9;
+  return make_pulse(spec);
+}
+
+/// PSD of Fig. 4's burst train: the \p shape envelope on the band-plan
+/// carrier nearest 5 GHz.
+dsp::Psd fig4_burst_psd(PulseShape shape) {
+  const RealWaveform envelope = fig4_envelope(shape);
+  const BandPlan plan;
+  const double fc = plan.center_frequency(plan.nearest_channel(5e9));
+  CplxVec bb(envelope.size());
+  for (std::size_t i = 0; i < envelope.size(); ++i) bb[i] = cplx(envelope[i], 0.0);
+  const rf::Upconverter up(fc, envelope.sample_rate());
+  const RealWaveform burst = up.process(CplxWaveform(bb, envelope.sample_rate()));
+  return dsp::welch_psd(polarity_train(burst, 1 << 16, 800, 1), 8192);
+}
 
 // --------------------------------------------------------------- shapes ----
 
@@ -54,29 +91,32 @@ TEST(PulseShape, GaussianBandwidthMapping) {
   spec.shape = PulseShape::kGaussian;
   spec.bandwidth_hz = 500e6;
   spec.sample_rate_hz = fs;
-  RealWaveform p = make_pulse(spec);
-  // Random-polarity train: continuous spectrum shaped by |P(f)|^2.
-  Rng rng(21);
-  RealWaveform train(16384, fs);
-  for (std::size_t start = 0; start + p.size() < train.size(); start += 512) {
-    RealWaveform copy = p;
-    copy.scale(rng.sign());
-    train.add(copy, start);
-  }
-  const dsp::Psd psd = dsp::welch_psd(train, 2048);
+  const RealWaveform p = make_pulse(spec);
+  const dsp::Psd psd = dsp::welch_psd(polarity_train(p, 16384, 512, 21), 2048);
   // The baseband Gaussian is centered at DC; the one-sided PSD shows the
   // upper half of the two-sided 500 MHz target.
   const double bw = dsp::bandwidth_at_level(psd, -10.0);
   EXPECT_NEAR(bw, 250e6, 100e6);
+  // On the 5 GHz carrier both halves show: the full 500 MHz.
+  EXPECT_NEAR(dsp::bandwidth_at_level(fig4_burst_psd(PulseShape::kGaussian), -10.0), 500e6,
+              200e6);
 }
 
 TEST(PulseShape, RrcPulse500MHz) {
   const RealWaveform p = rrc_pulse(500e6, 0.5, 4, 4e9);
   EXPECT_NEAR(peak_abs(p.samples()), 1.0, 1e-12);
-  // Duration at the 1% level should be a handful of ns for a 500 MHz pulse.
-  const double dur = pulse_duration(p, 0.01);
-  EXPECT_GT(dur, 2e-9);
-  EXPECT_LT(dur, 30e-9);
+  // Fig. 4 shows a burst of a few ns ("~4.6 ns visible"): the duration at
+  // the 1% level, for this pulse and for both 500 MHz envelopes.
+  for (const RealWaveform& pulse : {p, fig4_envelope(PulseShape::kRootRaisedCos),
+                                    fig4_envelope(PulseShape::kGaussian)}) {
+    const double dur = pulse_duration(pulse, 0.01);
+    EXPECT_GT(dur, 2e-9);
+    EXPECT_LT(dur, 30e-9);
+  }
+  // "500 MHz pulse with carrier 5 GHz": the RRC burst's -10 dB bandwidth
+  // is within 20% of 500 MHz.
+  EXPECT_NEAR(dsp::bandwidth_at_level(fig4_burst_psd(PulseShape::kRootRaisedCos), -10.0),
+              500e6, 100e6);
 }
 
 TEST(PulseShape, Duration) {
@@ -218,6 +258,17 @@ TEST(SpectralMask, StrongSignalViolatesAndScalesBack) {
   dsp::Psd scaled = psd;
   for (auto& d : scaled.density_w_per_hz) d *= scale;
   EXPECT_NEAR(check_mask(scaled, fcc_indoor_mask()).worst_margin_db, 0.0, 0.01);
+
+  // Fig. 4's 5 GHz bursts scale up to the full in-band limit: the
+  // -41.3 dBm/MHz in-band level binds before any stricter skirt does.
+  for (const PulseShape shape : {PulseShape::kRootRaisedCos, PulseShape::kGaussian}) {
+    dsp::Psd burst = fig4_burst_psd(shape);
+    const double burst_scale = max_power_scale(burst, fcc_indoor_mask());
+    for (auto& d : burst.density_w_per_hz) d *= burst_scale;
+    const MaskReport fig4 = check_mask(burst, fcc_indoor_mask());
+    EXPECT_NEAR(fig4.worst_margin_db, 0.0, 0.01);
+    EXPECT_NEAR(fig4.inband_peak_dbm_per_mhz, -41.3, 0.01);
+  }
 }
 
 }  // namespace

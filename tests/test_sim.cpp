@@ -177,7 +177,6 @@ TEST(Table, Formatters) {
   EXPECT_EQ(Table::num(3.14159, 2), "3.14");
   EXPECT_EQ(Table::integer(-42), "-42");
   EXPECT_EQ(Table::db(6.02), "6.0 dB");
-  EXPECT_EQ(Table::percent(0.375, 1), "37.5%");
   EXPECT_EQ(Table::sci(0.00123, 2), "1.23e-03");
 }
 
