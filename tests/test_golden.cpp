@@ -20,6 +20,8 @@
 #include "engine/sweep_engine.h"
 #include "farm/farm_state.h"
 #include "io/json.h"
+#include "stats/sampling.h"
+#include "txrx/link.h"
 
 namespace uwb {
 namespace {
@@ -47,8 +49,8 @@ const std::map<std::string, std::uint64_t>& pinned_digests() {
   return digests;
 }
 
-std::string run_scenario_json(const std::string& name) {
-  const std::string path = ::testing::TempDir() + "golden_" + name + ".json";
+std::string run_scenario_json(const engine::ScenarioSpec& scenario) {
+  const std::string path = ::testing::TempDir() + "golden_" + scenario.name + ".json";
   engine::SweepConfig config;
   config.seed = 0x601D;
   config.workers = 2;  // parallel commit is deterministic; exercise it
@@ -57,7 +59,7 @@ std::string run_scenario_json(const std::string& name) {
   config.stop.max_trials = 4;
   engine::SweepEngine engine(config);
   engine::JsonSink sink(path);
-  (void)engine.run(engine::ScenarioRegistry::global().make(name), {&sink});
+  (void)engine.run(scenario, {&sink});
   std::ifstream in(path, std::ios::binary);
   std::ostringstream bytes;
   bytes << in.rdbuf();
@@ -98,7 +100,7 @@ class GoldenScenarioDigest : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(GoldenScenarioDigest, TinyBudgetResultDocIsByteStable) {
   const std::string name = GetParam();
-  const std::string doc = run_scenario_json(name);
+  const std::string doc = run_scenario_json(engine::ScenarioRegistry::global().make(name));
   ASSERT_FALSE(doc.empty()) << name << " produced no result document";
   const std::uint64_t digest = farm::fnv1a_digest(doc);
   const auto it = pinned_digests().find(name);
@@ -114,6 +116,48 @@ INSTANTIATE_TEST_SUITE_P(
     Registry, GoldenScenarioDigest,
     ::testing::ValuesIn(engine::ScenarioRegistry::global().names()),
     [](const ::testing::TestParamInfo<std::string>& info) { return info.param; });
+
+// Gen-1 genie-timing variants no registry scenario runs: fresh CM3
+// draws (the composite-kernel channel path), aperture jitter (the
+// sampler's per-sample Gaussian draws) and an importance-sampled point
+// (the double-waveform receive). Same budget, seed and digest as above,
+// over gen1_waterfall's four points.
+struct Gen1Variant {
+  const char* name;
+  void (*apply)(txrx::LinkSpec&);
+  std::uint64_t digest;
+};
+
+const Gen1Variant kGen1Variants[] = {
+    {"cm3_fresh", [](txrx::LinkSpec& s) { s.options.cm = 3; }, 0x31987e38f3bafa8ULL},
+    {"aperture_jitter",
+     [](txrx::LinkSpec& s) { s.gen1().aperture_jitter_rms_s = 2e-12; }, 0x40330e65531cb8e5ULL},
+    {"tilted",
+     [](txrx::LinkSpec& s) { s.options.sampling.mode = stats::SamplingMode::kNoiseScale; },
+     0xd73070d9f67255a9ULL},
+};
+
+void PrintTo(const Gen1Variant& variant, std::ostream* os) { *os << variant.name; }
+
+class GoldenGen1Variant : public ::testing::TestWithParam<Gen1Variant> {};
+
+TEST_P(GoldenGen1Variant, TinyBudgetResultDocIsByteStable) {
+  const Gen1Variant& variant = GetParam();
+  engine::ScenarioSpec scenario = engine::ScenarioRegistry::global().make("gen1_waterfall");
+  scenario.name += std::string("_") + variant.name;
+  for (engine::PointSpec& point : scenario.points) variant.apply(point.link);
+  const std::string doc = run_scenario_json(scenario);
+  ASSERT_FALSE(doc.empty()) << variant.name << " produced no result document";
+  const std::uint64_t digest = farm::fnv1a_digest(doc);
+  EXPECT_EQ(digest, variant.digest)
+      << "result bytes changed for " << variant.name << " -- if intentional, re-pin as 0x"
+      << std::hex << digest << "ULL";
+}
+
+INSTANTIATE_TEST_SUITE_P(Variants, GoldenGen1Variant, ::testing::ValuesIn(kGen1Variants),
+                         [](const ::testing::TestParamInfo<Gen1Variant>& info) {
+                           return std::string(info.param.name);
+                         });
 
 }  // namespace
 }  // namespace uwb
