@@ -67,11 +67,11 @@ TimeInterleavedAdc::TimeInterleavedAdc(int num_lanes, const FlashParams& lane_pa
     offsets_f_.push_back(static_cast<float>(offsets_[k]));
   }
   thr_rows_ = lanes_.front().thresholds().size();
-  thr_t_.resize(thr_rows_ * kBlockRow);
-  for (std::size_t c = 0; c < kBlockRow; ++c) {
+  thr_t_.resize(thr_rows_ * kLadderBlock);
+  for (std::size_t c = 0; c < kLadderBlock; ++c) {
     const std::size_t k = c % lanes_.size();
     for (std::size_t t = 0; t < thr_rows_; ++t) {
-      thr_t_[t * kBlockRow + c] = static_cast<float>(lanes_[k].thresholds()[t]);
+      thr_t_[t * kLadderBlock + c] = static_cast<float>(lanes_[k].thresholds()[t]);
     }
     gains_row_.push_back(gains_f_[k]);
     offsets_row_.push_back(offsets_f_[k]);
@@ -121,6 +121,11 @@ void TimeInterleavedAdc::convert_block(const double* x, std::size_t n,
 void TimeInterleavedAdc::convert_block(const float* x, std::size_t n,
                                        float* levels) noexcept {
   detail::convert_block(*this, host_isa(), x, n, levels);
+}
+
+void TimeInterleavedAdc::convert_block(const float* x, std::size_t first, std::size_t count,
+                                       float* levels) const noexcept {
+  detail::convert_block(*this, host_isa(), x, first, count, levels);
 }
 
 namespace {
@@ -202,23 +207,19 @@ std::size_t ladder_on(Isa isa, const LadderRows& lad, const float* x, std::size_
 
 }  // namespace
 
-}  // namespace uwb::adc
-
-namespace uwb::detail {
-
-void convert_block(adc::TimeInterleavedAdc& adc, Isa isa, const float* x, std::size_t n,
-                   float* levels) noexcept {
-  const std::size_t num_lanes = adc.lanes_.size();
-  std::size_t lane = adc.lane_;
+std::size_t TimeInterleavedAdc::convert_from_lane(Isa isa, std::size_t lane, const float* x,
+                                                  std::size_t n,
+                                                  float* levels) const noexcept {
+  const std::size_t num_lanes = lanes_.size();
   const auto convert_one = [&](std::size_t i) {
-    const float v = adc.gains_f_[lane] * x[i] + adc.offsets_f_[lane];
-    const float* thr = adc.thr_f_[lane].data();
-    const std::size_t num_thr = adc.thr_f_[lane].size();  // padded, multiple of 8
+    const float v = gains_f_[lane] * x[i] + offsets_f_[lane];
+    const float* thr = thr_f_[lane].data();
+    const std::size_t num_thr = thr_f_[lane].size();  // padded, multiple of 8
     std::int32_t code = 0;
     for (std::size_t t = 0; t < num_thr; ++t) {
       code += static_cast<std::int32_t>(thr[t] <= v);
     }
-    levels[i] = adc.level_base_f_ + static_cast<float>(code) * adc.lsb_f_;
+    levels[i] = level_base_f_ + static_cast<float>(code) * lsb_f_;
     lane = (lane + 1) % num_lanes;
   };
   std::size_t i = 0;
@@ -229,16 +230,31 @@ void convert_block(adc::TimeInterleavedAdc& adc, Isa isa, const float* x, std::s
   // the per-sample loop, in an order that never changes any count.
   if (num_lanes == 4) {
     for (; i < n && lane != 0; ++i) convert_one(i);
-    const adc::LadderRows lad{adc.thr_t_.data(), adc.thr_rows_, adc.kBlockRow,
-                              adc.gains_row_.data(), adc.offsets_row_.data(),
-                              adc.level_base_f_, adc.lsb_f_};
-    i += adc::ladder_on(isa, lad, x + i, n - i, levels + i);  // lane stays 0
+    const LadderRows lad{thr_t_.data(), thr_rows_, kLadderBlock, gains_row_.data(),
+                         offsets_row_.data(), level_base_f_, lsb_f_};
+    i += ladder_on(isa, lad, x + i, n - i, levels + i);  // lane stays 0
   }
   for (; i < n; ++i) convert_one(i);
+  return lane;
+}
+
+}  // namespace uwb::adc
+
+namespace uwb::detail {
+
+void convert_block(adc::TimeInterleavedAdc& adc, Isa isa, const float* x, std::size_t n,
+                   float* levels) noexcept {
+  const std::size_t num_lanes = adc.lanes_.size();
+  const std::size_t lane = adc.convert_from_lane(isa, adc.lane_, x, n, levels);
   if (n > 0) {
     adc.last_lane_used_ = static_cast<int>((lane + num_lanes - 1) % num_lanes);
   }
   adc.lane_ = lane;
+}
+
+void convert_block(const adc::TimeInterleavedAdc& adc, Isa isa, const float* x,
+                   std::size_t first, std::size_t count, float* levels) noexcept {
+  (void)adc.convert_from_lane(isa, first % adc.lanes_.size(), x, count, levels);
 }
 
 }  // namespace uwb::detail

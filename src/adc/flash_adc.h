@@ -23,6 +23,11 @@ namespace uwb::detail {
 void convert_block(adc::TimeInterleavedAdc& adc, Isa isa, const float* x, std::size_t n,
                    float* levels) noexcept;
 
+/// The range form TimeInterleavedAdc::convert_block(x, first, count,
+/// levels) with the ladder clone for \p isa forced.
+void convert_block(const adc::TimeInterleavedAdc& adc, Isa isa, const float* x,
+                   std::size_t first, std::size_t count, float* levels) noexcept;
+
 }  // namespace uwb::detail
 
 namespace uwb::adc {
@@ -96,6 +101,19 @@ class TimeInterleavedAdc final : public Adc {
   /// level writes the bytes of the per-sample loop.
   void convert_block(const float* x, std::size_t n, float* levels) noexcept;
 
+  /// Range form of the float block conversion: converts x[0 .. count) as
+  /// samples [first, first + count) of a stream whose sample 0 went through
+  /// lane 0, so x[i] uses lane (first + i) % num_lanes(), and writes
+  /// levels[0 .. count) with the bytes a whole-stream call from lane 0
+  /// writes for those samples. The lane counter is left alone. A range that
+  /// starts on a lane-0 sample and spans a multiple of kLadderBlock samples
+  /// converts entirely in pattern blocks on every ISA.
+  void convert_block(const float* x, std::size_t first, std::size_t count,
+                     float* levels) const noexcept;
+
+  /// Samples per pattern block of the widest ladder clone.
+  static constexpr std::size_t kLadderBlock = 16;
+
   void reset() noexcept override { lane_ = 0; }
 
   [[nodiscard]] int num_lanes() const noexcept { return static_cast<int>(lanes_.size()); }
@@ -120,18 +138,25 @@ class TimeInterleavedAdc final : public Adc {
   float level_base_f_ = 0.0f;  ///< level_of(0) = -full_scale + lsb/2
   float lsb_f_ = 0.0f;
   // Transposed ladder for the pattern-blocked 4-lane path: row t holds
-  // threshold t of lanes 0..3, repeated to kBlockRow entries, so a block of
+  // threshold t of lanes 0..3, repeated to kLadderBlock entries, so a block of
   // consecutive samples starting on lane 0 compares against one contiguous
   // unit-stride row (vectorizes across the block instead of needing a
   // horizontal reduction per sample). Gains and offsets repeat the same way.
-  static constexpr std::size_t kBlockRow = 16;
   std::vector<float> thr_t_;
   std::vector<float> gains_row_;
   std::vector<float> offsets_row_;
   std::size_t thr_rows_ = 0;  ///< unpadded ladder length (2^bits - 1)
 
+  /// The float conversion body: \p n samples starting on \p lane; returns
+  /// the lane after the last one.
+  std::size_t convert_from_lane(Isa isa, std::size_t lane, const float* x, std::size_t n,
+                                float* levels) const noexcept;
+
   friend void detail::convert_block(TimeInterleavedAdc& adc, Isa isa, const float* x,
                                     std::size_t n, float* levels) noexcept;
+  friend void detail::convert_block(const TimeInterleavedAdc& adc, Isa isa, const float* x,
+                                    std::size_t first, std::size_t count,
+                                    float* levels) noexcept;
 };
 
 }  // namespace uwb::adc

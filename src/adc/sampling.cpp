@@ -70,62 +70,26 @@ std::size_t SampleAndHold::output_size(std::size_t x_len, double fs_in) const no
   return static_cast<std::size_t>(std::floor(static_cast<double>(x_len) / ratio));
 }
 
-std::size_t SampleAndHold::sample_interleaved_to(const double* x, std::size_t x_len,
-                                                 double fs_in, const RealVec& lane_skews_s,
-                                                 Rng& rng, double* out) const {
-  const double ratio = fs_in / params_.adc_rate_hz;
-  detail::require(ratio >= 1.0 - 1e-9, "SampleAndHold: input rate below ADC rate");
-  const auto n_out = static_cast<std::size_t>(
-      std::floor(static_cast<double>(x_len) / ratio));
-  std::fill(out, out + n_out, 0.0);
-  const std::size_t num_lanes = lane_skews_s.size();
-  const bool jitter_free = params_.aperture_jitter_rms_s <= 0.0;
-
-  if (jitter_free && num_lanes > 0) {
-    // Hot path of the gen-1 front end: sampling instants are deterministic,
-    // so the loop carries only a lane counter -- no RNG, no modulo, no
-    // per-sample branch beyond the range clamp.
-    std::size_t lane = 0;
-    for (std::size_t k = 0; k < n_out; ++k) {
-      const double t_s = static_cast<double>(k) / params_.adc_rate_hz +
-                         params_.phase_offset_s + lane_skews_s[lane];
-      lane = (lane + 1 == num_lanes) ? 0 : lane + 1;
-      const double pos = t_s * fs_in;
-      if (pos < 0.0) continue;
-      const auto i0 = static_cast<std::size_t>(pos);
-      if (i0 + 1 >= x_len) break;
-      const double frac = pos - static_cast<double>(i0);
-      out[k] = x[i0] * (1.0 - frac) + x[i0 + 1] * frac;
-    }
-    return n_out;
-  }
-
-  for (std::size_t k = 0; k < n_out; ++k) {
-    double t_s = static_cast<double>(k) / params_.adc_rate_hz + params_.phase_offset_s;
-    if (!jitter_free) {
-      t_s += rng.gaussian(0.0, params_.aperture_jitter_rms_s);
-    }
-    if (num_lanes > 0) {
-      t_s += lane_skews_s[k % num_lanes];
-    }
-    const double pos = t_s * fs_in;
-    if (pos < 0.0) continue;
-    const auto i0 = static_cast<std::size_t>(pos);
-    if (i0 + 1 >= x_len) break;
-    const double frac = pos - static_cast<double>(i0);
-    out[k] = x[i0] * (1.0 - frac) + x[i0 + 1] * frac;
-  }
-  return n_out;
-}
-
 std::size_t SampleAndHold::sample_interleaved_to(const float* x, std::size_t x_len,
                                                  double fs_in, const RealVec& lane_skews_s,
                                                  Rng& rng, float* out) const {
+  const std::size_t n_out = output_size(x_len, fs_in);
+  sample_interleaved_to(x, x_len, fs_in, lane_skews_s, rng, 0, n_out, out);
+  return n_out;
+}
+
+void SampleAndHold::sample_interleaved_to(const float* x, std::size_t x_len, double fs_in,
+                                          const RealVec& lane_skews_s, Rng& rng,
+                                          std::size_t first, std::size_t count,
+                                          float* out) const {
   const double ratio = fs_in / params_.adc_rate_hz;
   detail::require(ratio >= 1.0 - 1e-9, "SampleAndHold: input rate below ADC rate");
   const auto n_out = static_cast<std::size_t>(
       std::floor(static_cast<double>(x_len) / ratio));
-  std::fill(out, out + n_out, 0.0f);
+  detail::require(first <= n_out && count <= n_out - first,
+                  "SampleAndHold: sample range past the output");
+  const std::size_t end = first + count;
+  std::fill(out, out + count, 0.0f);
   const std::size_t num_lanes = lane_skews_s.size();
   const bool jitter_free = params_.aperture_jitter_rms_s <= 0.0;
   const double inv_rate = 1.0 / params_.adc_rate_hz;
@@ -161,48 +125,61 @@ std::size_t SampleAndHold::sample_interleaved_to(const float* x, std::size_t x_l
     if (static_cast<std::ptrdiff_t>(x_len) >= max_off + 2) {
       k_hi = (x_len - 1 - static_cast<std::size_t>(max_off + 1)) / stride + 1;
     }
-    k_hi = std::min(k_hi, n_out);
-    const auto checked = [&](std::size_t begin, std::size_t end) {
-      for (std::size_t k = begin; k < end; ++k) {
+    const std::size_t core_lo = std::clamp(k_lo, first, end);
+    const std::size_t core_hi = std::clamp(k_hi, core_lo, end);
+    const auto checked = [&](std::size_t begin, std::size_t stop) {
+      for (std::size_t k = begin; k < stop; ++k) {
         const std::ptrdiff_t i0 =
             static_cast<std::ptrdiff_t>(k * stride) + off[k % num_lanes];
         if (i0 < 0 || static_cast<std::size_t>(i0) + 1 >= x_len) continue;
         const std::size_t l = k % num_lanes;
-        out[k] = x[i0] * w0[l] + x[i0 + 1] * w1[l];
+        out[k - first] = x[i0] * w0[l] + x[i0 + 1] * w1[l];
       }
     };
-    checked(0, std::min(k_lo, n_out));
-    std::size_t lane = k_lo % num_lanes;
-    for (std::size_t k = k_lo; k < k_hi; ++k) {
+    checked(first, core_lo);
+    std::size_t lane = core_lo % num_lanes;
+    for (std::size_t k = core_lo; k < core_hi; ++k) {
       const float* xs = x + static_cast<std::ptrdiff_t>(k * stride) + off[lane];
-      out[k] = xs[0] * w0[lane] + xs[1] * w1[lane];
+      out[k - first] = xs[0] * w0[lane] + xs[1] * w1[lane];
       lane = (lane + 1 == num_lanes) ? 0 : lane + 1;
     }
-    checked(std::max(k_hi, k_lo), n_out);
-    return n_out;
+    checked(core_hi, end);
+    return;
   }
 
-  if (jitter_free && num_lanes > 0) {
-    std::size_t lane = 0;
-    for (std::size_t k = 0; k < n_out; ++k) {
-      const double t_s = static_cast<double>(k) * inv_rate + params_.phase_offset_s +
-                         lane_skews_s[lane];
-      lane = (lane + 1 == num_lanes) ? 0 : lane + 1;
-      const double pos = t_s * fs_in;
+  if (jitter_free) {
+    // Sampling instants are a pure function of k. The per-sample loop stops
+    // at the first instant past the input; within one lane the instants
+    // only grow, so that stop fell before `first` exactly when it did for
+    // the last sample of some lane before `first`.
+    const auto pos_of = [&](std::size_t k) {
+      double t_s = static_cast<double>(k) * inv_rate + params_.phase_offset_s;
+      if (num_lanes > 0) t_s += lane_skews_s[k % num_lanes];
+      return t_s * fs_in;
+    };
+    const auto past_input = [&](double pos) {
+      return pos >= 0.0 && static_cast<std::size_t>(pos) + 1 >= x_len;
+    };
+    const std::size_t period = std::max<std::size_t>(num_lanes, 1);
+    for (std::size_t k = first - std::min(first, period); k < first; ++k) {
+      if (past_input(pos_of(k))) return;
+    }
+    for (std::size_t k = first; k < end; ++k) {
+      const double pos = pos_of(k);
       if (pos < 0.0) continue;
+      if (past_input(pos)) break;
       const auto i0 = static_cast<std::size_t>(pos);
-      if (i0 + 1 >= x_len) break;
       const auto frac = static_cast<float>(pos - static_cast<double>(i0));
-      out[k] = x[i0] * (1.0f - frac) + x[i0 + 1] * frac;
+      out[k - first] = x[i0] * (1.0f - frac) + x[i0 + 1] * frac;
     }
-    return n_out;
+    return;
   }
 
-  for (std::size_t k = 0; k < n_out; ++k) {
+  // Aperture jitter: one Gaussian per sample in sample order, so the draws
+  // of every sample before `first` are made (and dropped) as well.
+  for (std::size_t k = 0; k < end; ++k) {
     double t_s = static_cast<double>(k) * inv_rate + params_.phase_offset_s;
-    if (!jitter_free) {
-      t_s += rng.gaussian(0.0, params_.aperture_jitter_rms_s);
-    }
+    t_s += rng.gaussian(0.0, params_.aperture_jitter_rms_s);
     if (num_lanes > 0) {
       t_s += lane_skews_s[k % num_lanes];
     }
@@ -210,10 +187,24 @@ std::size_t SampleAndHold::sample_interleaved_to(const float* x, std::size_t x_l
     if (pos < 0.0) continue;
     const auto i0 = static_cast<std::size_t>(pos);
     if (i0 + 1 >= x_len) break;
+    if (k < first) continue;
     const auto frac = static_cast<float>(pos - static_cast<double>(i0));
-    out[k] = x[i0] * (1.0f - frac) + x[i0 + 1] * frac;
+    out[k - first] = x[i0] * (1.0f - frac) + x[i0 + 1] * frac;
   }
-  return n_out;
+}
+
+std::size_t SampleAndHold::input_end(std::size_t x_len, double fs_in,
+                                     const RealVec& lane_skews_s,
+                                     std::size_t end) const noexcept {
+  if (end == 0) return 0;
+  if (params_.aperture_jitter_rms_s > 0.0) return x_len;
+  // Sample k interpolates input floor(pos) and floor(pos) + 1, where pos is
+  // k * ratio + (phase + skew) * fs up to rounding far below one sample.
+  double lead = params_.phase_offset_s;
+  for (const double skew : lane_skews_s) lead = std::max(lead, params_.phase_offset_s + skew);
+  const double last = static_cast<double>(end - 1) * (fs_in / params_.adc_rate_hz) + lead * fs_in;
+  const double bound = std::ceil(std::max(last, 0.0)) + 3.0;
+  return bound >= static_cast<double>(x_len) ? x_len : static_cast<std::size_t>(bound);
 }
 
 }  // namespace uwb::adc

@@ -42,23 +42,35 @@ class SampleAndHold {
                         cplx* out) const;
 
   /// Per-lane skewed sampling (time-interleaved converters) into a
-  /// caller-owned buffer of output_size() doubles: lane k of the
+  /// caller-owned buffer of output_size() floats: lane k of the
   /// lane_skews_s.size() lanes has an extra static skew lane_skews_s[k].
-  /// With zero aperture jitter the inner loop runs a branch-free per-lane
-  /// path that never touches the RNG, with the per-sample loop's bytes.
-  /// Returns the number of samples written.
-  std::size_t sample_interleaved_to(const double* x, std::size_t x_len, double fs_in,
-                                    const RealVec& lane_skews_s, Rng& rng,
-                                    double* out) const;
-
-  /// Single-precision variant (the gen-1 float sample arena). Sampling
-  /// instants are still computed in double; the jitter-free lane path
+  /// Sampling instants are computed in double; the jitter-free lane path
   /// replaces the per-sample division by a reciprocal multiply (the float
-  /// path carries no bit-identity contract) and the interpolation itself
-  /// runs in float.
+  /// path carries no bit-identity contract with the double sampler) and the
+  /// interpolation itself runs in float. Returns the number of samples
+  /// written.
   std::size_t sample_interleaved_to(const float* x, std::size_t x_len, double fs_in,
                                     const RealVec& lane_skews_s, Rng& rng,
                                     float* out) const;
+
+  /// The same sampling restricted to outputs [first, first + count) of the
+  /// output_size() samples: writes out[0 .. count) with the bytes the
+  /// whole-capture call above writes at out[first ..] (sample k uses lane
+  /// k % lanes). Without aperture jitter it touches only the
+  /// input around those instants; with jitter it draws the Gaussians of
+  /// samples 0 .. first + count in order, as the whole-capture call does
+  /// up to there. Requires first + count <= output_size(x_len, fs_in).
+  void sample_interleaved_to(const float* x, std::size_t x_len, double fs_in,
+                             const RealVec& lane_skews_s, Rng& rng, std::size_t first,
+                             std::size_t count, float* out) const;
+
+  /// An upper bound on the input that sample_interleaved_to() reads for
+  /// outputs [0, end): no input sample at or past the returned index, which
+  /// is at most \p x_len. Lets a caller sample a range as soon as its input
+  /// is ready. Under aperture jitter an instant can land anywhere: x_len.
+  [[nodiscard]] std::size_t input_end(std::size_t x_len, double fs_in,
+                                      const RealVec& lane_skews_s,
+                                      std::size_t end) const noexcept;
 
  private:
   template <typename T>

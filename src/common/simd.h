@@ -13,7 +13,9 @@
 /// fp-contract=off in the source: the benchmark build compiles src/ with
 /// its own flags, so the top-level CMake setting alone is not enough.
 
+#include <complex>
 #include <cstddef>
+#include <cstdint>
 #include <cstring>
 
 #if defined(__x86_64__)
@@ -60,6 +62,23 @@ template <typename V, typename T>
 template <typename V, typename T>
 [[gnu::always_inline]] inline void store(T* p, const V& v) noexcept {
   std::memcpy(p, &v, sizeof(V));
+}
+
+/// x * h with the roundings of std::complex multiplication: re = xr hr - xi hi
+/// and im = xr hi + xi hr, each product and each sum rounded once (finite
+/// operands, so its Annex G NaN step never applies). Spelled as two vector
+/// products and a blend of their difference and sum, so the SLP vectorizer
+/// finds no complex product to fuse into vfmaddsub at -march=native, which
+/// it otherwise does despite fp-contract=off.
+[[gnu::always_inline]] inline std::complex<double> cmul(const std::complex<double>& x,
+                                                        const std::complex<double>& h) noexcept {
+  using V2 = Vec<double, 16>::type;
+  using M2 = Vec<std::int64_t, 16>::type;
+  const V2 v = {x.real(), x.imag()};
+  const V2 p1 = v * V2{h.real(), h.real()};             // (xr hr, xi hr)
+  const V2 p2 = V2{v[1], v[0]} * V2{h.imag(), h.imag()};  // (xi hi, xr hi)
+  const V2 r = __builtin_shuffle(p1 - p2, p2 + p1, M2{0, 3});
+  return {r[0], r[1]};
 }
 
 }  // namespace uwb::simd

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/simd.h"
-#include "dsp/aligned.h"
 #include "dsp/fast_convolve.h"
 
 namespace uwb::dsp {
@@ -46,32 +45,6 @@ RealVec correlate(const RealVec& x, const RealVec& tmpl) {
   RealVec out(x.size() - tmpl.size() + 1);
   dot_bank(x.data(), out.size(), tmpl.data(), tmpl.size(), out.data());
   return out;
-}
-
-std::size_t correlate_to(const double* x, std::size_t x_len, const RealVec& tmpl,
-                         double* out) {
-  const std::size_t num_lags = x_len - tmpl.size() + 1;
-  if (use_fft_convolve(x_len, tmpl.size(), ConvKind::kRealReal)) {
-    // Overlap-save wants vector in/out; stage through temporaries (rare:
-    // the workspace callers all use short matched-filter templates).
-    RealVec xin(x, x + x_len);
-    RealVec tmp;
-    ols_correlate(xin, tmpl, tmp, thread_fft_workspace());
-    std::copy(tmp.begin(), tmp.end(), out);
-    return num_lags;
-  }
-  dot_bank(x, num_lags, tmpl.data(), tmpl.size(), out);
-  return num_lags;
-}
-
-std::size_t correlate_to(const float* x, std::size_t x_len, const RealVec& tmpl,
-                         float* out) {
-  const std::size_t num_lags = x_len - tmpl.size() + 1;
-  // The float arena only matched-filters short pulse templates; stay on the
-  // direct kernel unconditionally (no float overlap-save path exists).
-  const TapScratch<float> taps(tmpl.data(), tmpl.size(), /*reversed=*/false);
-  dot_bank(x, num_lags, taps.data(), tmpl.size(), out);
-  return num_lags;
 }
 
 namespace {
@@ -251,8 +224,9 @@ std::size_t argmax_abs(const RealVec& x) {
 }
 
 cplx dot_conj(const cplx* x, const cplx* tmpl, std::size_t n) noexcept {
+  // simd::cmul: std::complex's product bytes, unfused at -march=native.
   cplx acc{};
-  for (std::size_t i = 0; i < n; ++i) acc += x[i] * std::conj(tmpl[i]);
+  for (std::size_t i = 0; i < n; ++i) acc += simd::cmul(x[i], std::conj(tmpl[i]));
   return acc;
 }
 

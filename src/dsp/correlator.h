@@ -31,25 +31,13 @@ CplxVec correlate(const CplxVec& x, const RealVec& tmpl);
 /// Real-valued version.
 RealVec correlate(const RealVec& x, const RealVec& tmpl);
 
-/// Real correlation into a caller-owned buffer \p out of length
-/// |x| - |tmpl| + 1 (requires |x| >= |tmpl| >= 1). Bit-identical to
-/// correlate(x, tmpl); exists so per-packet workspaces can reuse their
-/// output buffers. Returns the number of lags written.
-std::size_t correlate_to(const double* x, std::size_t x_len, const RealVec& tmpl, double* out);
-
-/// Single-precision correlation into a caller-owned buffer (the gen-1 float
-/// sample arena). Always runs the direct blocked kernel -- the float pipeline
-/// only matched-filters short templates, far below the FFT crossover -- with
-/// the template converted to float once per call.
-std::size_t correlate_to(const float* x, std::size_t x_len, const RealVec& tmpl, float* out);
-
 /// Bank of sliding dot products: out[j] = sum_m x[j+m] * h[m] for
-/// j in [0, num_lags). The hot kernel under correlate(), correlate_to() and
-/// the direct path of convolve_same_to(). Each output accumulates alone in
-/// ascending-tap order -- bit-identical to calling dot() per lag -- while
-/// blocks of lags fill the vector registers. The kernel is compiled once
-/// per ISA level (common/isa.h) and runs the host's widest; every level
-/// writes the same bytes.
+/// j in [0, num_lags). The hot kernel under correlate(), the gen-1 matched
+/// filter and the direct path of convolve_same_to(). Each output
+/// accumulates alone in ascending-tap order -- bit-identical to calling
+/// dot() per lag -- while blocks of lags fill the vector registers. The
+/// kernel is compiled once per ISA level (common/isa.h) and runs the host's
+/// widest; every level writes the same bytes.
 void dot_bank(const double* x, std::size_t num_lags, const double* h, std::size_t h_len,
               double* out) noexcept;
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <type_traits>
 
+#include "common/simd.h"
 #include "dsp/aligned.h"
 #include "dsp/correlator.h"
 #include "dsp/fast_convolve.h"
@@ -17,7 +18,12 @@ std::vector<TY> convolve_direct(const std::vector<TX>& x, const std::vector<TH>&
   std::vector<TY> y(x.size() + h.size() - 1, TY{});
   for (std::size_t i = 0; i < x.size(); ++i) {
     for (std::size_t k = 0; k < h.size(); ++k) {
-      y[i + k] += x[i] * h[k];
+      if constexpr (std::is_same_v<TX, cplx> && std::is_same_v<TH, cplx>) {
+        // std::complex's product bytes, unfused at -march=native.
+        y[i + k] += simd::cmul(x[i], h[k]);
+      } else {
+        y[i + k] += x[i] * h[k];
+      }
     }
   }
   return y;
@@ -77,14 +83,17 @@ RealVec convolve_same(const RealVec& x, const RealVec& h) {
 namespace {
 
 /// Direct "same"-mode kernel shared by the real, float and complex entry
-/// points. Gather form over reversed taps: the scatter full convolution adds
-/// x[i]*h[k] in ascending-i order, which for a fixed output is descending-k
-/// -- i.e. ascending over the reversed kernel. Accumulating that way keeps
-/// every double and complex output bit-identical to the scatter form while
-/// the interior runs contiguous-stride through dot_bank's vector blocks.
-/// Taps are T for real samples and double for complex ones.
+/// points: outputs [first, last) of the x_len, written to y[0 ..). Gather
+/// form over reversed taps: the scatter full convolution adds x[i]*h[k] in
+/// ascending-i order, which for a fixed output is descending-k -- i.e.
+/// ascending over the reversed kernel. Accumulating that way keeps every
+/// double and complex output bit-identical to the scatter form while the
+/// interior runs contiguous-stride through dot_bank's vector blocks, whose
+/// outputs do not depend on where a block starts. Taps are T for real
+/// samples and double for complex ones.
 template <typename T>
-void convolve_same_direct(const T* x, std::size_t x_len, const RealVec& h, T* y) {
+void convolve_same_direct(const T* x, std::size_t x_len, const RealVec& h, T* y,
+                          std::size_t first, std::size_t last) {
   using Tap = std::conditional_t<std::is_same_v<T, cplx>, double, T>;
   const std::size_t h_len = h.size();
   const std::size_t start = (h_len - 1) / 2;
@@ -101,17 +110,17 @@ void convolve_same_direct(const T* x, std::size_t x_len, const RealVec& h, T* y)
     for (std::size_t m = m_lo; static_cast<std::ptrdiff_t>(m) < m_hi; ++m) {
       acc += x[off + static_cast<std::ptrdiff_t>(m)] * r[m];
     }
-    y[j] = acc;
+    y[j - first] = acc;
   };
 
+  // Outputs [head_end, tail_begin) see the whole kernel.
   const std::size_t head_end = std::min(h_len - 1 - start, x_len);
-  for (std::size_t j = 0; j < head_end; ++j) edge_out(j);
-  if (x_len >= h_len) {
-    dot_bank(x, x_len - h_len + 1, r, h_len, y + head_end);
-    for (std::size_t j = x_len - start; j < x_len; ++j) edge_out(j);
-  } else {
-    for (std::size_t j = head_end; j < x_len; ++j) edge_out(j);
-  }
+  const std::size_t tail_begin = x_len >= h_len ? x_len - start : head_end;
+  for (std::size_t j = first; j < std::min(last, head_end); ++j) edge_out(j);
+  const std::size_t lo = std::max(first, head_end);
+  const std::size_t hi = std::min(last, tail_begin);
+  if (lo < hi) dot_bank(x + (lo - head_end), hi - lo, r, h_len, y + (lo - first));
+  for (std::size_t j = std::max(first, tail_begin); j < last; ++j) edge_out(j);
 }
 
 /// convolve_same_to() above the FFT crossover: the full overlap-save
@@ -134,7 +143,7 @@ void convolve_same_to(const double* x, std::size_t x_len, const RealVec& h, doub
     convolve_same_fft_to(x, x_len, h, y);
     return;
   }
-  convolve_same_direct(x, x_len, h, y);
+  convolve_same_direct(x, x_len, h, y, 0, x_len);
 }
 
 void convolve_same_to(const cplx* x, std::size_t x_len, const RealVec& h, cplx* y) {
@@ -143,12 +152,17 @@ void convolve_same_to(const cplx* x, std::size_t x_len, const RealVec& h, cplx* 
     convolve_same_fft_to(x, x_len, h, y);
     return;
   }
-  convolve_same_direct(x, x_len, h, y);
+  convolve_same_direct(x, x_len, h, y, 0, x_len);
 }
 
 void convolve_same_to(const float* x, std::size_t x_len, const RealVec& h, float* y) {
-  if (x_len == 0 || h.empty()) return;
-  convolve_same_direct(x, x_len, h, y);
+  convolve_same_to(x, x_len, h, y, 0, x_len);
+}
+
+void convolve_same_to(const float* x, std::size_t x_len, const RealVec& h, float* y,
+                      std::size_t first, std::size_t count) {
+  if (count == 0 || h.empty()) return;
+  convolve_same_direct(x, x_len, h, y, first, first + count);
 }
 
 CplxVec convolve_same(const CplxVec& x, const RealVec& h) {
@@ -157,7 +171,7 @@ CplxVec convolve_same(const CplxVec& x, const RealVec& h) {
     return take_same(convolve(x, h), x.size(), h.size());
   }
   CplxVec y(x.size());
-  convolve_same_direct(x.data(), x.size(), h, y.data());
+  convolve_same_direct(x.data(), x.size(), h, y.data(), 0, x.size());
   return y;
 }
 

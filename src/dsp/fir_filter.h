@@ -91,6 +91,14 @@ void convolve_same_to(const double* x, std::size_t x_len, const RealVec& h, doub
 /// below the FFT crossover. Taps are converted to float once per call.
 void convolve_same_to(const float* x, std::size_t x_len, const RealVec& h, float* y);
 
+/// The float "same"-mode convolution restricted to outputs
+/// [first, first + count) of the x_len: writes y[0 .. count) with the bytes
+/// the whole call above writes at y[first ..], so a caller can filter a long
+/// capture tile by tile while each tile is still in cache. Requires
+/// first + count <= x_len.
+void convolve_same_to(const float* x, std::size_t x_len, const RealVec& h, float* y,
+                      std::size_t first, std::size_t count);
+
 /// Complex "same"-mode convolution into a caller-owned buffer \p y of
 /// length \p x_len: bit-identical to convolve_same(CplxVec, RealVec), and
 /// allocation-free on its direct path (FFT-worthy kernels stage through

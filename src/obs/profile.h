@@ -51,7 +51,11 @@ namespace uwb::obs {
 /// stage -- read it as "of the above, this much was FFT butterflies".
 enum class Stage : std::uint8_t {
   kTxModulate = 0,   ///< pulse shaping + modulation (txrx transmit)
-  kChannelConvolve,  ///< CIR convolution of the transmitted waveform
+  /// Channel synthesis and the CIR convolution of the transmitted
+  /// waveform: a fresh Saleh-Valenzuela realization, gen-1's composite
+  /// pulse-through-channel kernel, and gen-1's sparse pulse scatter
+  /// (timed even on AWGN points, where the kernel is the bare pulse).
+  kChannelConvolve,
   kChannelNoise,     ///< AWGN synthesis + addition over the analog waveform
   kRxFrontend,       ///< analog chain: mixer/LNA model, FIRs, sampling
   kAdcQuantize,      ///< flash / SAR conversion of the sampled waveform

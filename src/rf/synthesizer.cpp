@@ -1,7 +1,6 @@
 #include "rf/synthesizer.h"
 
 #include <cmath>
-#include <cstdint>
 
 #include "common/error.h"
 #include "common/math_utils.h"
@@ -48,21 +47,10 @@ RealVec Synthesizer::phase_noise(std::size_t n, double fs, Rng& rng) const {
 }
 
 void Synthesizer::apply_phase_noise(std::span<cplx> x, double fs, Rng& rng) const {
-  // x[i] *= e^{j t} as two vector products and a blend of their difference
-  // and sum -- the parts std::complex multiplication computes, each with
-  // the same two roundings (the captures are finite, so its Annex G NaN
-  // step never applies). Spelled this way the SLP vectorizer finds no
-  // complex product to fuse into vfmaddsub at -march=native.
-  using V2 = simd::Vec<double, 16>::type;
-  using M2 = simd::Vec<std::int64_t, 16>::type;
+  // x[i] *= e^{j t} through simd::cmul, which keeps std::complex's bytes
+  // and stays unfused at -march=native.
   walk_phase(x.size(), fs, rng, [&](std::size_t i, double t) {
-    const double c = std::cos(t);
-    const double s = std::sin(t);
-    const V2 v = {x[i].real(), x[i].imag()};
-    const V2 p1 = v * V2{c, c};                          // (re c, im c)
-    const V2 p2 = V2{v[1], v[0]} * V2{s, s};             // (im s, re s)
-    const V2 r = __builtin_shuffle(p1 - p2, p2 + p1, M2{0, 3});
-    x[i] = cplx(r[0], r[1]);
+    x[i] = simd::cmul(x[i], cplx(std::cos(t), std::sin(t)));
   });
 }
 

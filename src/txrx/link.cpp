@@ -328,16 +328,17 @@ Gen2TrialResult Gen2Link::run_packet_full(const TrialOptions& options, Rng& rng,
   }
 
   // Multipath: the context's resolved ensemble realization when one was
-  // provided, a fresh per-trial draw otherwise.
+  // provided, a fresh per-trial draw otherwise. Drawing the channel counts
+  // as channel_convolve time, as the convolution does.
   CplxWaveform rx_wave = std::move(wave);
   if (options.cm >= 1) {
+    obs::StageTimer ch_timer(obs::Stage::kChannelConvolve);
     if (const channel::Cir* fixed = ensemble_channel_or_throw(options, context)) {
       trial.true_channel = *fixed;
     } else {
       const channel::SalehValenzuela sv(channel::cm_by_index(options.cm));
       trial.true_channel = sv.realize(rng);
     }
-    obs::StageTimer ch_timer(obs::Stage::kChannelConvolve);
     rx_wave = trial.true_channel.apply(rx_wave);
     ch_timer.add_samples(rx_wave.size());
     ch_timer.finish();
@@ -545,9 +546,9 @@ RealWaveform apply_gen1_channel(RealWaveform wave, const TrialOptions& options,
                                 const TrialContext& context, channel::Cir* out_cir,
                                 Rng& rng) {
   if (options.cm >= 1) {
+    obs::StageTimer ch_timer(obs::Stage::kChannelConvolve);
     const channel::Cir cir = resolve_gen1_cir(options, context, rng);
     if (out_cir != nullptr) *out_cir = cir;
-    obs::StageTimer ch_timer(obs::Stage::kChannelConvolve);
     RealWaveform out = cir.apply_real(wave);
     ch_timer.add_samples(out.size());
     ch_timer.finish();
@@ -670,6 +671,7 @@ Gen1TrialResult Gen1Link::run_packet_full(const TrialOptions& options, Rng& rng,
   if (float_path) {
     const dsp::AlignedVec<float>* g = &prototype_f();
     if (options.cm >= 1) {
+      const obs::StageTimer timer(obs::Stage::kChannelConvolve);
       const channel::Cir cir = resolve_gen1_cir(options, context, rng);
       composite_kernel(cir);  // refreshes the float mirror on a new realization
       g = &g_kernel_f_;
@@ -681,11 +683,14 @@ Gen1TrialResult Gen1Link::run_packet_full(const TrialOptions& options, Rng& rng,
     channel::Cir cir = channel::identity_cir();
     RealWaveform rx_wave;
     if (sparse_channel) {
-      cir = resolve_gen1_cir(options, context, rng);
+      {
+        const obs::StageTimer timer(obs::Stage::kChannelConvolve);
+        cir = resolve_gen1_cir(options, context, rng);
+        composite_kernel(cir);
+      }
       rx_wave = apply_gen1_channel_sparse(
           train.amplitudes, config_.frame_samples_analog(),
-          delay_frames * config_.frame_samples_analog(), composite_kernel(cir),
-          config_.analog_fs);
+          delay_frames * config_.frame_samples_analog(), g_kernel_, config_.analog_fs);
     } else {
       rx_wave = apply_gen1_channel(std::move(wave), options, context, &cir, rng);
     }
@@ -802,6 +807,7 @@ Gen1Link::AcqTrial Gen1Link::run_acquisition(const TrialOptions& options, Rng& r
   if (float_path) {
     const dsp::AlignedVec<float>* g = &prototype_f();
     if (options.cm >= 1) {
+      const obs::StageTimer timer(obs::Stage::kChannelConvolve);
       const channel::Cir cir = resolve_gen1_cir(options, context, rng);
       composite_kernel(cir);
       g = &g_kernel_f_;

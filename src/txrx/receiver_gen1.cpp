@@ -30,67 +30,151 @@ Gen1Receiver::Gen1Receiver(const Gen1Config& config, Rng& rng)
   }
 }
 
-std::span<const float> Gen1Receiver::digitize_and_filter(const float* rx, std::size_t n,
-                                                         double fs, const Gen1Transmitter& tx,
-                                                         Rng& rng) {
-  // Anti-alias lowpass at the converter's Nyquist edge: the analog front
-  // end band-limits before the 2 GSps sampler. Runs the blocked gather FIR
-  // into the packet arena, no allocation.
-  obs::StageTimer fe_timer(obs::Stage::kRxFrontend, n);
-  ws_filtered_.resize(n);
-  dsp::convolve_same_to(rx, n, anti_alias_taps_, ws_filtered_.data());
+namespace {
 
-  // AGC measurement on the filtered signal: a converged AGC loads the flash
-  // at ~1/4 full scale rms (see rf::AgcParams). The scale itself commutes
-  // with linear-interpolation sampling, so it is applied to the (2x
-  // shorter) sampled stream below rather than here.
-  // Four independent accumulators break the FP-add dependency chain (the
-  // power estimate is an AGC model input, not a bit-exact contract).
-  double p0 = 0.0, p1 = 0.0, p2 = 0.0, p3 = 0.0;
+/// Anti-alias filter tile: small enough that the power sum and the window
+/// sampler read it back from cache, and a multiple of 4 so each power
+/// accumulator keeps its sample phase across tiles.
+constexpr std::size_t kFilterTile = 4096;
+
+/// AGC power: adds the squares of x[0 .. n) to four accumulators, sample i
+/// into p[i % 4] while four remain and the rest into p[0], each in
+/// ascending order. Four independent chains break the FP-add dependency
+/// (the power is an AGC model input, not a bit-exact contract). Out of
+/// line so the accumulators stay in registers across a tile.
+[[gnu::noinline]] void accumulate_power(const float* x, std::size_t n, double (&p)[4]) noexcept {
+  double p0 = p[0], p1 = p[1], p2 = p[2], p3 = p[3];
   std::size_t i = 0;
   for (; i + 4 <= n; i += 4) {
-    const auto v0 = static_cast<double>(ws_filtered_[i]);
-    const auto v1 = static_cast<double>(ws_filtered_[i + 1]);
-    const auto v2 = static_cast<double>(ws_filtered_[i + 2]);
-    const auto v3 = static_cast<double>(ws_filtered_[i + 3]);
+    const auto v0 = static_cast<double>(x[i]);
+    const auto v1 = static_cast<double>(x[i + 1]);
+    const auto v2 = static_cast<double>(x[i + 2]);
+    const auto v3 = static_cast<double>(x[i + 3]);
     p0 += v0 * v0;
     p1 += v1 * v1;
     p2 += v2 * v2;
     p3 += v3 * v3;
   }
   for (; i < n; ++i) {
-    const auto v = static_cast<double>(ws_filtered_[i]);
+    const auto v = static_cast<double>(x[i]);
     p0 += v * v;
   }
-  const double power_acc = (p0 + p1) + (p2 + p3);
-  const double r = n > 0 ? std::sqrt(power_acc / static_cast<double>(n)) : 0.0;
+  p[0] = p0;
+  p[1] = p1;
+  p[2] = p2;
+  p[3] = p3;
+}
 
+}  // namespace
+
+std::size_t Gen1Receiver::plan_windows(const MfDemand& demand, std::size_t n, double fs,
+                                       std::size_t n_adc, std::size_t mf_len,
+                                       std::size_t num_taps) {
+  ws_windows_.clear();
+  if (demand.stride == 1) {
+    ws_windows_.push_back({0, n_adc, 0, mf_len, 0, n});
+    return n_adc;
+  }
+  // One window per demanded output j: ADC samples from the lane-0 sample
+  // at or before j (where the previous window has not covered them) to
+  // j + num_taps, stretched to whole ladder blocks where the capture
+  // allows, so the converter's pattern-blocked clones convert all of it.
+  // A stride of at least num_taps + kBlock keeps each window's start at or
+  // below its output.
+  const auto lanes = static_cast<std::size_t>(adc_.num_lanes());
+  constexpr std::size_t kBlock = adc::TimeInterleavedAdc::kLadderBlock;
+  std::size_t done = 0;
+  std::size_t packed = 0;
+  for (std::size_t i = 0, j = demand.first; i < demand.count && j < mf_len;
+       ++i, j += demand.stride) {
+    const std::size_t a = std::max(done, j - j % lanes);
+    const std::size_t b = std::min(n_adc, a + ceil_div(j + num_taps - a, kBlock) * kBlock);
+    ws_windows_.push_back(
+        {a, b, j, j + 1, packed, sampler_.input_end(n, fs, lane_skews_s_, b)});
+    packed += b - a;
+    done = b;
+  }
+  return packed;
+}
+
+Gen1Receiver::MfView Gen1Receiver::digitize_and_filter(const float* rx, std::size_t n,
+                                                       double fs, const Gen1Transmitter& tx,
+                                                       Rng& rng, MfDemand demand) {
+  // Every stage after the anti-alias filter is a per-sample function of
+  // (sample index, lane = index % lanes, gain), and each matched-filter
+  // output sums its own window of converted samples, so only the ADC
+  // windows under the demanded outputs are digitized, packed one after
+  // another in the sampled and level arenas. Under aperture jitter each
+  // sample draws its instant in order, and the whole capture is one window.
+  obs::StageTimer fe_timer(obs::Stage::kRxFrontend, n);
   const std::size_t n_adc = sampler_.output_size(n, fs);
-  ws_sampled_.resize(n_adc);
-  sampler_.sample_interleaved_to(ws_filtered_.data(), n, fs, lane_skews_s_, rng,
-                                 ws_sampled_.data());
+  const RealVec& taps = tx.pulse_taps_adc();
+  const std::size_t mf_len =
+      (taps.empty() || n_adc < taps.size()) ? 0 : n_adc - taps.size() + 1;
+  // Windows of outputs closer than a filter span plus a ladder block would
+  // overlap; those demands, like jitter, take the whole capture.
+  if (config_.aperture_jitter_rms_s > 0.0 ||
+      demand.stride < taps.size() + adc::TimeInterleavedAdc::kLadderBlock) {
+    demand = MfDemand{};
+  }
+  const std::size_t packed = plan_windows(demand, n, fs, n_adc, mf_len, taps.size());
+  ws_sampled_.resize(packed);
+  std::size_t next = 0;  // first window not sampled yet
+  const auto sample_windows_below = [&](std::size_t filtered) {
+    for (; next < ws_windows_.size() && ws_windows_[next].input_end <= filtered; ++next) {
+      const Window& w = ws_windows_[next];
+      sampler_.sample_interleaved_to(ws_filtered_.data(), n, fs, lane_skews_s_, rng, w.a,
+                                     w.size(), ws_sampled_.data() + w.offset);
+    }
+  };
+
+  // Anti-alias lowpass at the converter's Nyquist edge: the analog front
+  // end band-limits before the 2 GSps sampler. The AGC gain depends on the
+  // power of the whole filtered capture, so the filter always runs over all
+  // of it, tile by tile into the packet arena, summing the power and
+  // sampling the windows whose input is complete while each tile is in
+  // cache. A converged AGC loads the flash at ~1/4 full scale rms (see
+  // rf::AgcParams); the scale commutes with linear-interpolation sampling,
+  // so it is applied to the sampled windows afterwards.
+  ws_filtered_.resize(n);
+  double p[4] = {};
+  for (std::size_t t0 = 0; t0 < n; t0 += kFilterTile) {
+    const std::size_t t1 = std::min(n, t0 + kFilterTile);
+    float* tile = ws_filtered_.data() + t0;
+    dsp::convolve_same_to(rx, n, anti_alias_taps_, tile, t0, t1 - t0);
+    accumulate_power(tile, t1 - t0, p);
+    sample_windows_below(t1);
+  }
+  const double power_acc = (p[0] + p[1]) + (p[2] + p[3]);
+  const double r = n > 0 ? std::sqrt(power_acc / static_cast<double>(n)) : 0.0;
   if (r > 0.0) {
     const auto gain = static_cast<float>(0.25 / r);
-    for (std::size_t i = 0; i < n_adc; ++i) ws_sampled_[i] *= gain;
+    for (std::size_t i = 0; i < packed; ++i) ws_sampled_[i] *= gain;
   }
   fe_timer.finish();
 
-  obs::StageTimer adc_timer(obs::Stage::kAdcQuantize, n_adc);
-  adc_.reset();
-  ws_levels_.resize(n_adc);
-  adc_.convert_block(ws_sampled_.data(), n_adc, ws_levels_.data());
+  obs::StageTimer adc_timer(obs::Stage::kAdcQuantize, packed);
+  ws_levels_.resize(packed);
+  for (const Window& w : ws_windows_) {
+    adc_.convert_block(ws_sampled_.data() + w.offset, w.a, w.size(),
+                       ws_levels_.data() + w.offset);
+  }
   adc_timer.finish();
 
-  // Matched filter with the monocycle.
-  const obs::StageTimer mf_timer(obs::Stage::kCorrelateRake, n_adc);
-  const RealVec& taps = tx.pulse_taps_adc();
-  if (taps.empty() || n_adc < taps.size()) {
-    ws_mf_.resize(0);
-    return {};
+  // Matched filter with the monocycle; each window's outputs follow the
+  // previous window's.
+  obs::StageTimer mf_timer(obs::Stage::kCorrelateRake);
+  const dsp::TapScratch<float> taps_f(taps.data(), taps.size(), /*reversed=*/false);
+  ws_mf_.resize(mf_len);
+  std::size_t outputs = 0;
+  for (const Window& w : ws_windows_) {
+    if (w.j0 == w.j1) continue;
+    dsp::dot_bank(ws_levels_.data() + w.offset + (w.j0 - w.a), w.j1 - w.j0, taps_f.data(),
+                  taps.size(), ws_mf_.data() + outputs);
+    mf_timer.add_samples(w.j1 - w.j0 + taps.size() - 1);
+    outputs += w.j1 - w.j0;
   }
-  ws_mf_.resize(n_adc - taps.size() + 1);
-  dsp::correlate_to(ws_levels_.data(), n_adc, taps, ws_mf_.data());
-  return {ws_mf_.data(), ws_mf_.size()};
+  return {{ws_mf_.data(), outputs}, demand};
 }
 
 Gen1AcqResult Gen1Receiver::acquire_on_mf(std::span<const float> mf,
@@ -240,8 +324,8 @@ Gen1AcqResult Gen1Receiver::acquire(const RealWaveform& rx, const Gen1Transmitte
 
 Gen1AcqResult Gen1Receiver::acquire(std::span<const float> rx, double fs,
                                     const Gen1Transmitter& tx, Rng& rng) {
-  const std::span<const float> mf = digitize_and_filter(rx.data(), rx.size(), fs, tx, rng);
-  return acquire_on_mf(mf, tx);
+  return acquire_on_mf(digitize_and_filter(rx.data(), rx.size(), fs, tx, rng, MfDemand{}).values,
+                       tx);
 }
 
 Gen1RxResult Gen1Receiver::receive(const RealWaveform& rx, const Gen1Transmitter& tx,
@@ -256,8 +340,21 @@ Gen1RxResult Gen1Receiver::receive(std::span<const float> rx, double fs,
                                    const Gen1Transmitter& tx, const TxFrame& tx_reference,
                                    const Gen1RxOptions& options, Rng& rng) {
   Gen1RxResult result;
-  const std::span<const float> mf = digitize_and_filter(rx.data(), rx.size(), fs, tx, rng);
   const std::size_t F = config_.frame_samples_adc;
+  const auto ppb = static_cast<std::size_t>(config_.pulses_per_bit);
+  const std::size_t num_bits = tx_reference.frame_bits.size();
+
+  // With genie timing the despreader below reads one matched-filter output
+  // per frame of the data section and nothing else; acquisition and the
+  // SFD search read the whole filter.
+  MfDemand demand;
+  if (options.genie_timing) {
+    const std::size_t start = options.genie_offset;
+    demand.first = start % F + (start / F + tx.preamble_frames()) * F;
+    demand.stride = F;
+    demand.count = num_bits * ppb;
+  }
+  const MfView mf = digitize_and_filter(rx.data(), rx.size(), fs, tx, rng, demand);
 
   std::size_t preamble_start = 0;
   if (options.genie_timing) {
@@ -265,7 +362,7 @@ Gen1RxResult Gen1Receiver::receive(std::span<const float> rx, double fs,
     result.acq.acquired = true;
     result.acq.timing_offset = preamble_start;
   } else {
-    result.acq = acquire_on_mf(mf, tx);
+    result.acq = acquire_on_mf(mf.values, tx);
     if (!result.acq.acquired) return result;
     // The acquisition pins timing modulo one PN period; the packet's
     // preamble starts an integer number of periods earlier, which does not
@@ -281,8 +378,6 @@ Gen1RxResult Gen1Receiver::receive(std::span<const float> rx, double fs,
                                     tx_reference.frame_bits.size());
   const std::size_t data_start_frame_nominal =
       preamble_start / F + tx.preamble_frames();
-  const auto ppb = static_cast<std::size_t>(config_.pulses_per_bit);
-  const std::size_t num_bits = tx_reference.frame_bits.size();
   const std::vector<double>& spread = tx.spread_chips();
   const std::size_t pulse_phase = preamble_start % F;
 
@@ -303,7 +398,7 @@ Gen1RxResult Gen1Receiver::receive(std::span<const float> rx, double fs,
         double soft = 0.0;
         for (std::size_t k = 0; k < ppb; ++k) {
           const std::size_t idx = pulse_phase + (cand + b * ppb + k) * F;
-          if (idx < mf.size()) soft += spread[k % spread.size()] * mf[idx];
+          if (const float* v = mf.find(idx)) soft += spread[k % spread.size()] * *v;
         }
         corr += (sfd[b] ? -1.0 : 1.0) * soft;
       }
@@ -316,13 +411,15 @@ Gen1RxResult Gen1Receiver::receive(std::span<const float> rx, double fs,
 
   // Despread and slice the data bits.
   result.data_bits.resize(num_bits);
+  result.data_soft.resize(num_bits);
   std::size_t errors = 0;
   for (std::size_t b = 0; b < num_bits; ++b) {
     double soft = 0.0;
     for (std::size_t k = 0; k < ppb; ++k) {
       const std::size_t idx = pulse_phase + (best_start + b * ppb + k) * F;
-      if (idx < mf.size()) soft += spread[k % spread.size()] * mf[idx];
+      if (const float* v = mf.find(idx)) soft += spread[k % spread.size()] * *v;
     }
+    result.data_soft[b] = soft;
     result.data_bits[b] = soft < 0.0 ? 1 : 0;
     if ((result.data_bits[b] != 0) != (tx_reference.frame_bits[b] != 0)) ++errors;
   }

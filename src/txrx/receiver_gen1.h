@@ -14,6 +14,15 @@
 ///     acq_parallelism_stage2 shifts at a time.
 /// Modeled sync time = dwells1 * K1 * Tf + dwells2 * 127 * Tf, the real-time
 /// cost of a streaming architecture with that much correlator hardware.
+///
+/// Digitization on demand: once timing is known (genie timing), the
+/// despreader reads one matched-filter output per PRF frame, so the model
+/// samples, converts and matched-filters only the few ADC samples under
+/// those outputs (about 2% of a capture). Each of those stages is a pure
+/// per-sample function of (index, lane, AGC gain), so every output keeps
+/// the bytes of a whole-capture pass. The anti-alias filter and the AGC
+/// power still cover the whole capture, since the gain depends on all of
+/// it; acquisition and the SFD search read the whole filter.
 
 #include <span>
 
@@ -42,6 +51,7 @@ struct Gen1AcqResult {
 struct Gen1RxResult {
   Gen1AcqResult acq;
   BitVec data_bits;             ///< decoded data-section bits
+  std::vector<double> data_soft;  ///< each bit's despread sum (< 0 decodes a 1)
   std::size_t bit_errors = 0;
   std::size_t bits_compared = 0;
 };
@@ -63,7 +73,9 @@ class Gen1Receiver {
 
   /// Full receive: sample, convert, matched-filter, acquire, despread.
   /// Converts into the float sample arena once, then runs the
-  /// single-precision pipeline below.
+  /// single-precision pipeline below. With genie timing only the ADC
+  /// windows under the data section's one pulse phase per frame are
+  /// sampled, converted and matched-filtered.
   [[nodiscard]] Gen1RxResult receive(const RealWaveform& rx, const Gen1Transmitter& tx,
                                      const TxFrame& tx_reference,
                                      const Gen1RxOptions& options, Rng& rng);
@@ -86,12 +98,55 @@ class Gen1Receiver {
                                       const Gen1Transmitter& tx, Rng& rng);
 
  private:
+  /// The matched-filter outputs a caller will read: count of them, stride
+  /// apart from first. The default asks for every output.
+  struct MfDemand {
+    std::size_t first = 0;
+    std::size_t stride = 1;
+    std::size_t count = static_cast<std::size_t>(-1);
+  };
+
+  /// The demanded outputs, packed: values[i] is output
+  /// demand.first + i * demand.stride of the whole filter, for every
+  /// demanded output inside the capture. Under the default demand, values
+  /// is the whole filter.
+  struct MfView {
+    std::span<const float> values;
+    MfDemand demand;
+
+    /// Demanded output \p idx, or nullptr when it lies past the capture.
+    [[nodiscard]] const float* find(std::size_t idx) const noexcept {
+      const std::size_t i = (idx - demand.first) / demand.stride;
+      return i < values.size() ? values.data() + i : nullptr;
+    }
+  };
+
+  /// One stretch of digitization: ADC samples [a, b), packed at \p offset
+  /// in ws_sampled_ and ws_levels_, feeding matched-filter outputs
+  /// [j0, j1); sampling them reads filtered samples below \p input_end.
+  struct Window {
+    std::size_t a = 0, b = 0, j0 = 0, j1 = 0, offset = 0, input_end = 0;
+    [[nodiscard]] std::size_t size() const noexcept { return b - a; }
+  };
+
+  /// Fills ws_windows_ with the windows \p demand needs, ascending and
+  /// without overlap, and returns their total sample count; the default
+  /// demand is one window over the whole capture of \p n samples at \p fs.
+  /// Any other demand needs a stride of at least \p num_taps plus one
+  /// ladder block.
+  std::size_t plan_windows(const MfDemand& demand, std::size_t n, double fs,
+                           std::size_t n_adc, std::size_t mf_len, std::size_t num_taps);
+
   /// Analog band-limiting + sampling + interleaved conversion + matched
-  /// filtering, entirely in single precision. The returned span views
-  /// ws_mf_, valid until the next call on this receiver.
-  [[nodiscard]] std::span<const float> digitize_and_filter(const float* rx, std::size_t n,
-                                                           double fs, const Gen1Transmitter& tx,
-                                                           Rng& rng);
+  /// filtering, entirely in single precision. The anti-alias filter and the
+  /// AGC power cover the whole capture (the gain depends on all of it);
+  /// sampling, conversion and matched filtering run only on the ADC
+  /// windows under the demanded outputs, each of which keeps the bytes a
+  /// whole-capture pass gives it. The returned view reads ws_mf_, valid
+  /// until the next call on this receiver.
+  [[nodiscard]] MfView digitize_and_filter(const float* rx, std::size_t n, double fs,
+                                           const Gen1Transmitter& tx, Rng& rng,
+                                           MfDemand demand);
 
   [[nodiscard]] Gen1AcqResult acquire_on_mf(std::span<const float> mf,
                                             const Gen1Transmitter& tx) const;
@@ -110,9 +165,10 @@ class Gen1Receiver {
   // width through the filter/sampler/converter/matched-filter chain.
   dsp::AlignedVec<float> ws_rx_;        ///< double->float staging for waveform callers
   dsp::AlignedVec<float> ws_filtered_;
-  dsp::AlignedVec<float> ws_sampled_;
-  dsp::AlignedVec<float> ws_levels_;
-  dsp::AlignedVec<float> ws_mf_;
+  dsp::AlignedVec<float> ws_sampled_;  ///< the windows' samples, packed
+  dsp::AlignedVec<float> ws_levels_;   ///< their converted levels, same packing
+  dsp::AlignedVec<float> ws_mf_;       ///< demanded outputs, packed
+  std::vector<Window> ws_windows_;     ///< this call's digitization windows
   mutable dsp::AlignedVec<float> ws_acq_;  ///< stage-1 phase accumulators
 };
 

@@ -32,7 +32,9 @@ Gen1Train Gen1Transmitter::transmit_train(const BitVec& payload) const {
 
   // Data section = SFD + header + payload(+CRC), each bit spread over
   // pulses_per_bit polarity-scrambled pulses.
-  BitVec data_bits = pkt.sfd;
+  BitVec data_bits;
+  data_bits.reserve(pkt.sfd.size() + pkt.header.size() + pkt.payload.size());
+  data_bits.insert(data_bits.end(), pkt.sfd.begin(), pkt.sfd.end());
   data_bits.insert(data_bits.end(), pkt.header.begin(), pkt.header.end());
   data_bits.insert(data_bits.end(), pkt.payload.begin(), pkt.payload.end());
 

@@ -9,6 +9,7 @@
 #include <cstring>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.h"
@@ -254,6 +255,56 @@ TEST(TimeInterleaved, FloatBlockClonesMatchPerSampleLoop) {
       }
     }
   }
+}
+
+// A range conversion writes the slice of a whole-stream conversion from
+// lane 0, on every ladder clone, from any start sample and for any length,
+// and leaves the lane counter where it was.
+TEST(TimeInterleaved, FloatRangeMatchesWholeStreamSliceOnEveryClone) {
+  const std::vector<Isa> isas = test::supported_isas_or_report_skips();
+  Rng rng(21);
+  FlashParams lane;
+  lane.bits = 4;
+  lane.comparator_offset_sigma = 0.3;
+  TimeInterleavedAdc adc(4, lane, InterleaveMismatch{0.02, 0.01, 0.0}, rng);
+
+  std::vector<float> x;
+  for (std::size_t l = 0; l < 4; ++l) {
+    for (const float v : crossings_on_lane(adc, l)) x.push_back(v);
+  }
+  while (x.size() < 1500) x.push_back(static_cast<float>(rng.gaussian(0.0, 0.6)));
+  std::vector<float> whole(x.size());
+  adc.reset();
+  detail::convert_block(adc, Isa::kPortable, x.data(), x.size(), whole.data());
+
+  std::vector<float> got(x.size());
+  for (int trial = 0; trial < 300; ++trial) {
+    const auto first = static_cast<std::size_t>(rng.uniform_int(0, static_cast<int>(x.size())));
+    const auto count =
+        static_cast<std::size_t>(rng.uniform_int(0, static_cast<int>(x.size() - first)));
+    for (const Isa isa : isas) {
+      std::fill(got.begin(), got.end(), -9.0f);
+      detail::convert_block(std::as_const(adc), isa, x.data() + first, first, count,
+                            got.data());
+      ASSERT_EQ(test::first_byte_mismatch(got.data(), whole.data() + first, count), count)
+          << isa_name(isa) << ", first " << first << ", count " << count;
+      if (count < got.size()) {
+        EXPECT_EQ(got[count], -9.0f) << "wrote past count";
+      }
+    }
+    adc.convert_block(x.data() + first, first, count, got.data());
+    ASSERT_EQ(test::first_byte_mismatch(got.data(), whole.data() + first, count), count)
+        << "host clone, first " << first << ", count " << count;
+  }
+  // The counter still starts the stateful form on lane 0.
+  float one = 0.0f;
+  adc.reset();
+  adc.convert_block(x.data() + 5, 5, 3, got.data());
+  adc.convert_block(x.data() + 1, 1, &one);
+  float lane0 = 0.0f;
+  adc.reset();
+  detail::convert_block(adc, Isa::kPortable, x.data() + 1, 1, &lane0);
+  EXPECT_EQ(std::memcmp(&one, &lane0, sizeof one), 0);
 }
 
 // ------------------------------------------------------------------ sar ----
@@ -548,6 +599,98 @@ TEST(SampleAndHold, JitterAddsNoiseOnFastSignal) {
   // Jitter * 2 pi f * A: sigma ~ 2pi*400e6*20e-12 = 0.05 -> var ~ 2.5e-3 ... 1e-2.
   EXPECT_GT(err / n, 5e-4);
   EXPECT_LT(err / n, 5e-2);
+}
+
+/// Runs the range sampler over [first, first + count) with a fresh Rng of
+/// \p seed (what a whole-capture call with the same seed draws first).
+std::vector<float> sample_range(const SampleAndHold& sh, const std::vector<float>& x, double fs,
+                                const RealVec& skews, std::uint64_t seed, std::size_t first,
+                                std::size_t count) {
+  Rng rng(seed);
+  std::vector<float> out(count + 1, -9.0f);
+  sh.sample_interleaved_to(x.data(), x.size(), fs, skews, rng, first, count, out.data());
+  EXPECT_EQ(out[count], -9.0f) << "wrote past count";
+  out.pop_back();
+  return out;
+}
+
+// The range sampler writes the slice of a whole-capture call for random
+// ranges on every path -- the integer-ratio lane path, the general
+// jitter-free path, no lanes, and aperture jitter (same seed) -- including
+// the head and tail where an instant before the input or past its last
+// sample leaves a zero.
+TEST(SampleAndHold, RangeMatchesWholeCaptureSlice) {
+  Rng gen(31);
+  std::vector<float> x(4001);
+  for (float& v : x) v = static_cast<float>(gen.gaussian(0.0, 1.0));
+  struct Case {
+    const char* name;
+    double fs;
+    SamplingParams params;
+    RealVec skews;
+  };
+  // Early instants leave zeros at the head, late ones at the tail. In the
+  // fractional late case lane 1 runs past the input at output 1597 while
+  // lane 2's output 1598 would still fit: the whole-capture loop has
+  // stopped by then, and a range from 1598 must stop too.
+  const Case cases[] = {
+      {"integer ratio, early lanes", 4e9, {2e9, 0.0, -0.3e-9}, {0.0, 0.2e-9, -0.45e-9, 0.1e-9}},
+      {"integer ratio, late lanes", 4e9, {2e9, 0.0, 1.0e-9}, {0.0, 0.1e-9, 0.3e-9, -0.2e-9}},
+      {"fractional ratio, early lanes", 5e9, {2e9, 0.0, -0.2e-9}, {0.0, 0.3e-9, -0.3e-9, 0.1e-9}},
+      {"fractional ratio, late lanes", 5e9, {2e9, 0.0, 1.4e-9}, {0.0, 0.3e-9, -0.6e-9, 0.1e-9}},
+      {"fractional ratio, no lanes", 3e9, {2e9, 0.0, 0.7e-9}, {}},
+      {"aperture jitter, lanes", 4e9, {2e9, 5e-12, -0.1e-9}, {0.0, 0.2e-9, -0.3e-9, 1e-12}},
+  };
+  for (const Case& c : cases) {
+    const SampleAndHold sh(c.params);
+    const std::size_t n_out = sh.output_size(x.size(), c.fs);
+    std::vector<float> whole(n_out);
+    Rng rng(77);
+    ASSERT_EQ(sh.sample_interleaved_to(x.data(), x.size(), c.fs, c.skews, rng, whole.data()),
+              n_out);
+    ASSERT_TRUE(whole.front() == 0.0f || whole.back() == 0.0f)
+        << c.name << ": neither a head nor a tail zero";
+    std::vector<std::pair<std::size_t, std::size_t>> ranges = {
+        {0, n_out}, {0, 3}, {n_out - 5, 5}, {n_out - 2, 2}, {n_out, 0}, {1, n_out - 1}};
+    for (int t = 0; t < 60; ++t) {
+      const auto first = static_cast<std::size_t>(gen.uniform_int(0, static_cast<int>(n_out)));
+      const auto longest = static_cast<int>(std::min<std::size_t>(n_out - first, 40));
+      ranges.emplace_back(first, static_cast<std::size_t>(gen.uniform_int(0, longest)));
+    }
+    for (const auto& [first, count] : ranges) {
+      const std::vector<float> got = sample_range(sh, x, c.fs, c.skews, 77, first, count);
+      EXPECT_EQ(test::first_byte_mismatch(got.data(), whole.data() + first, count), count)
+          << c.name << ", first " << first << ", count " << count;
+    }
+  }
+}
+
+// input_end() bounds what sampling outputs [0, end) reads: poisoning the
+// input from there on changes none of those outputs.
+TEST(SampleAndHold, InputEndBoundsTheInputRead) {
+  Rng gen(32);
+  std::vector<float> x(3000);
+  for (float& v : x) v = static_cast<float>(gen.gaussian(0.0, 1.0));
+  const RealVec skews = {0.0, 0.2e-9, -0.45e-9, 0.3e-9};
+  for (const double fs : {4e9, 5e9}) {
+    const SampleAndHold sh({2e9, 0.0, 0.1e-9});
+    const std::size_t n_out = sh.output_size(x.size(), fs);
+    std::vector<float> whole(n_out);
+    Rng rng(1);
+    (void)sh.sample_interleaved_to(x.data(), x.size(), fs, skews, rng, whole.data());
+    for (std::size_t end = 0; end <= n_out; end += 37) {
+      const std::size_t input_end = sh.input_end(x.size(), fs, skews, end);
+      ASSERT_LE(input_end, x.size());
+      EXPECT_LE(input_end, static_cast<std::size_t>(static_cast<double>(end) * fs / 2e9) + 8);
+      std::vector<float> poisoned(x.begin(), x.begin() + static_cast<std::ptrdiff_t>(input_end));
+      poisoned.resize(x.size(), std::numeric_limits<float>::quiet_NaN());
+      const std::vector<float> got = sample_range(sh, poisoned, fs, skews, 1, 0, end);
+      EXPECT_EQ(test::first_byte_mismatch(got.data(), whole.data(), end), end)
+          << "fs " << fs << ", end " << end;
+    }
+  }
+  const SampleAndHold jittery({2e9, 1e-12, 0.0});
+  EXPECT_EQ(jittery.input_end(x.size(), 4e9, skews, 10), x.size());
 }
 
 TEST(SampleAndHold, RejectsUpsampling) {

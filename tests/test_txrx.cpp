@@ -4,13 +4,19 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
+#include "adc/flash_adc.h"
+#include "adc/sampling.h"
 #include "common/error.h"
 #include "channel/awgn.h"
 #include "common/math_utils.h"
 #include "common/rng.h"
 #include "channel/saleh_valenzuela.h"
+#include "dsp/correlator.h"
 #include "dsp/fast_convolve.h"
+#include "dsp/filter_design.h"
 #include "dsp/fir_filter.h"
 #include "dsp/power_spectrum.h"
 #include "sim/scenario.h"
@@ -339,6 +345,115 @@ TEST(Gen1Receiver, CleanPacketZeroErrors) {
   const Gen1TrialResult trial = link.run_packet_full(options);
   EXPECT_EQ(trial.errors, 0u);
   EXPECT_GT(trial.bits, 0u);
+}
+
+/// The gen-1 receiver's whole-capture chain built from its public pieces:
+/// anti-alias filter, AGC power, interleaved sampler, gain, flash
+/// conversion, matched filter. \p mismatch_seed seeds the converter as the
+/// receiver's constructor does.
+std::vector<float> dense_gen1_matched_filter(const Gen1Config& config, const Gen1Transmitter& tx,
+                                             const RealWaveform& rx, std::uint64_t mismatch_seed) {
+  const std::size_t n = rx.size();
+  std::vector<float> x(n);
+  for (std::size_t i = 0; i < n; ++i) x[i] = static_cast<float>(rx[i]);
+  const RealVec anti_alias = dsp::design_lowpass(0.45 * config.adc_rate, config.analog_fs, 63);
+  std::vector<float> filtered(n);
+  dsp::convolve_same_to(x.data(), n, anti_alias, filtered.data());
+  double p[4] = {};
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    for (std::size_t k = 0; k < 4; ++k) {
+      const auto v = static_cast<double>(filtered[i + k]);
+      p[k] += v * v;
+    }
+  }
+  for (; i < n; ++i) p[0] += static_cast<double>(filtered[i]) * filtered[i];
+  const double r = std::sqrt(((p[0] + p[1]) + (p[2] + p[3])) / static_cast<double>(n));
+
+  Rng mismatch(mismatch_seed);
+  adc::TimeInterleavedAdc adc(
+      config.adc_lanes,
+      adc::FlashParams{config.adc_bits, 1.0, config.comparator_offset_sigma},
+      config.interleave, mismatch);
+  RealVec skews;
+  for (int k = 0; k < adc.num_lanes(); ++k) skews.push_back(adc.lane_skew_s(k));
+  const adc::SampleAndHold sampler(
+      adc::SamplingParams{config.adc_rate, config.aperture_jitter_rms_s, 0.0});
+  std::vector<float> sampled(sampler.output_size(n, rx.sample_rate()));
+  Rng unused(0);
+  (void)sampler.sample_interleaved_to(filtered.data(), n, rx.sample_rate(), skews, unused,
+                                      sampled.data());
+  for (float& v : sampled) v *= static_cast<float>(0.25 / r);
+  std::vector<float> levels(sampled.size());
+  adc.reset();
+  adc.convert_block(sampled.data(), sampled.size(), levels.data());
+  const RealVec& taps = tx.pulse_taps_adc();
+  std::vector<float> taps_f(taps.begin(), taps.end());
+  std::vector<float> mf(levels.size() - taps.size() + 1);
+  dsp::dot_bank(levels.data(), mf.size(), taps_f.data(), taps_f.size(), mf.data());
+  return mf;
+}
+
+TEST(Gen1Receiver, GenieDespreadEqualsHandDespreadOfDenseMatchedFilter) {
+  // A genie receive digitizes only the windows its despreader reads; its
+  // decisions and soft sums must be those of the whole-capture matched
+  // filter, including bits whose last pulses fall past a cut capture, and
+  // on frames shorter than a window, where windows would overlap.
+  Gen1Config short_frames = sim::gen1_fast();
+  short_frames.frame_samples_adc = 8;
+  for (const Gen1Config& config : {sim::gen1_fast(), short_frames}) {
+    SCOPED_TRACE(config.frame_samples_adc);
+    const Gen1Transmitter tx(config);
+    Rng rng(0x6E1);
+    auto [wave, frame] = tx.transmit(rng.bits(32));
+    const std::size_t delay_frames = 5;
+    wave.delay_samples(delay_frames * config.frame_samples_analog());
+    wave.pad(static_cast<std::size_t>(64e-9 * config.analog_fs));
+    channel::add_awgn(wave, channel::n0_for_ebn0(frame.energy_per_bit, 3.0), rng);
+    const std::size_t cut_frames = 40;  // two and a half bits
+    RealVec cut(wave.samples().begin(),
+                wave.samples().end() -
+                    static_cast<std::ptrdiff_t>(cut_frames * config.frame_samples_analog()));
+
+    for (const RealWaveform& rx : {wave, RealWaveform(cut, wave.sample_rate())}) {
+      Rng mismatch(0xAD);
+      Gen1Receiver receiver(config, mismatch);
+      Gen1RxOptions options;
+      options.genie_timing = true;
+      options.genie_offset = delay_frames * config.frame_samples_adc;
+      Rng rx_rng(1);
+      const Gen1RxResult got = receiver.receive(rx, tx, frame, options, rx_rng);
+
+      const std::vector<float> mf = dense_gen1_matched_filter(config, tx, rx, 0xAD);
+      const std::size_t F = config.frame_samples_adc;
+      const auto ppb = static_cast<std::size_t>(config.pulses_per_bit);
+      const std::vector<double>& spread = tx.spread_chips();
+      const std::size_t first = options.genie_offset + tx.preamble_frames() * F;
+      ASSERT_EQ(got.data_bits.size(), frame.frame_bits.size());
+      ASSERT_EQ(got.data_soft.size(), frame.frame_bits.size());
+      std::size_t outside = 0;
+      std::size_t errors = 0;
+      for (std::size_t b = 0; b < frame.frame_bits.size(); ++b) {
+        double soft = 0.0;
+        for (std::size_t k = 0; k < ppb; ++k) {
+          const std::size_t idx = first + (b * ppb + k) * F;
+          if (idx < mf.size()) {
+            soft += spread[k % spread.size()] * mf[idx];
+          } else {
+            ++outside;
+          }
+        }
+        EXPECT_EQ(std::memcmp(&got.data_soft[b], &soft, sizeof soft), 0)
+            << "bit " << b << ": " << got.data_soft[b] << " vs " << soft;
+        EXPECT_EQ(got.data_bits[b], soft < 0.0 ? 1 : 0) << "bit " << b;
+        errors += (got.data_bits[b] != 0) != (frame.frame_bits[b] != 0) ? 1 : 0;
+      }
+      EXPECT_EQ(got.bit_errors, errors);
+      if (rx.size() < wave.size()) {
+        EXPECT_GT(outside, 0u) << "the cut reaches no pulse";
+      }
+    }
+  }
 }
 
 TEST(Gen1Receiver, AcquisitionFindsTiming) {
