@@ -32,13 +32,17 @@ BitVec unpack_bits(const std::vector<uint8_t>& bytes) {
 }
 
 BitVec uint_to_bits(uint64_t value, int width) {
-  detail::require(width >= 0 && width <= 64, "uint_to_bits: width must be in [0,64]");
-  BitVec bits(static_cast<std::size_t>(width));
-  for (int i = 0; i < width; ++i) {
-    bits[static_cast<std::size_t>(i)] =
-        static_cast<uint8_t>((value >> (width - 1 - i)) & 1u);
-  }
+  BitVec bits;
+  bits.reserve(static_cast<std::size_t>(std::max(width, 0)));
+  append_uint_bits(bits, value, width);
   return bits;
+}
+
+void append_uint_bits(BitVec& out, uint64_t value, int width) {
+  detail::require(width >= 0 && width <= 64, "uint_to_bits: width must be in [0,64]");
+  for (int i = 0; i < width; ++i) {
+    out.push_back(static_cast<uint8_t>((value >> (width - 1 - i)) & 1u));
+  }
 }
 
 uint64_t bits_to_uint(const BitVec& bits, std::size_t first, std::size_t count) {

@@ -24,6 +24,9 @@ BitVec unpack_bits(const std::vector<uint8_t>& bytes);
 /// Converts an unsigned value to \p width bits, MSB first.
 BitVec uint_to_bits(uint64_t value, int width);
 
+/// Appends uint_to_bits(value, width) to \p out without a temporary.
+void append_uint_bits(BitVec& out, uint64_t value, int width);
+
 /// Parses up to 64 bits (MSB first) back into an unsigned value.
 uint64_t bits_to_uint(const BitVec& bits, std::size_t first, std::size_t count);
 

@@ -5,7 +5,7 @@
 
 namespace uwb::phy {
 
-uint16_t crc16_ccitt(const BitVec& bits) {
+uint16_t crc16_ccitt(std::span<const uint8_t> bits) {
   uint16_t crc = 0xFFFF;
   for (auto b : bits) {
     const auto in = static_cast<uint16_t>(b & 1u);
@@ -16,7 +16,7 @@ uint16_t crc16_ccitt(const BitVec& bits) {
   return crc;
 }
 
-uint32_t crc32_ieee(const BitVec& bits) {
+uint32_t crc32_ieee(std::span<const uint8_t> bits) {
   // Bitwise reflected CRC-32: shift right with reversed poly 0xEDB88320.
   uint32_t crc = 0xFFFFFFFFu;
   for (auto b : bits) {
@@ -29,33 +29,33 @@ uint32_t crc32_ieee(const BitVec& bits) {
 }
 
 BitVec append_crc16(const BitVec& bits) {
-  BitVec out = bits;
-  const BitVec crc = uint_to_bits(crc16_ccitt(bits), 16);
-  out.insert(out.end(), crc.begin(), crc.end());
+  BitVec out;
+  out.reserve(bits.size() + 16);
+  out.assign(bits.begin(), bits.end());
+  append_uint_bits(out, crc16_ccitt(bits), 16);
   return out;
 }
 
 bool check_crc16(const BitVec& bits_with_crc) {
   if (bits_with_crc.size() < 16) return false;
   const std::size_t n = bits_with_crc.size() - 16;
-  const BitVec msg(bits_with_crc.begin(), bits_with_crc.begin() + static_cast<std::ptrdiff_t>(n));
   const auto expect = static_cast<uint16_t>(bits_to_uint(bits_with_crc, n, 16));
-  return crc16_ccitt(msg) == expect;
+  return crc16_ccitt(std::span(bits_with_crc).first(n)) == expect;
 }
 
 BitVec append_crc32(const BitVec& bits) {
-  BitVec out = bits;
-  const BitVec crc = uint_to_bits(crc32_ieee(bits), 32);
-  out.insert(out.end(), crc.begin(), crc.end());
+  BitVec out;
+  out.reserve(bits.size() + 32);
+  out.assign(bits.begin(), bits.end());
+  append_uint_bits(out, crc32_ieee(bits), 32);
   return out;
 }
 
 bool check_crc32(const BitVec& bits_with_crc) {
   if (bits_with_crc.size() < 32) return false;
   const std::size_t n = bits_with_crc.size() - 32;
-  const BitVec msg(bits_with_crc.begin(), bits_with_crc.begin() + static_cast<std::ptrdiff_t>(n));
   const auto expect = static_cast<uint32_t>(bits_to_uint(bits_with_crc, n, 32));
-  return crc32_ieee(msg) == expect;
+  return crc32_ieee(std::span(bits_with_crc).first(n)) == expect;
 }
 
 }  // namespace uwb::phy

@@ -4,6 +4,7 @@
 ///        packet framer for header and payload integrity checks.
 
 #include <cstdint>
+#include <span>
 
 #include "common/types.h"
 
@@ -11,11 +12,11 @@ namespace uwb::phy {
 
 /// CRC-16-CCITT (poly 0x1021, init 0xFFFF, no reflection), bitwise over the
 /// message bits MSB-first.
-uint16_t crc16_ccitt(const BitVec& bits);
+uint16_t crc16_ccitt(std::span<const uint8_t> bits);
 
 /// CRC-32 IEEE (poly 0x04C11DB7, init 0xFFFFFFFF, reflected, final XOR),
 /// computed over bits MSB-first within the logical stream.
-uint32_t crc32_ieee(const BitVec& bits);
+uint32_t crc32_ieee(std::span<const uint8_t> bits);
 
 /// Appends the CRC-16 of \p bits (16 bits, MSB first).
 BitVec append_crc16(const BitVec& bits);

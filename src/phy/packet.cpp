@@ -38,20 +38,19 @@ FramedPacket PacketFramer::frame(const BitVec& payload) const {
   detail::require(payload.size() < (1u << config_.header_length_bits),
                   "PacketFramer::frame: payload too long for length field");
   FramedPacket pkt;
-  pkt.preamble = preamble_;
-  pkt.sfd = sfd_;
-
-  const BitVec length_field =
-      uint_to_bits(payload.size(), config_.header_length_bits);
-  pkt.header = append_crc16(length_field);
-  pkt.payload = append_crc32(payload);
-
-  pkt.all.reserve(pkt.preamble.size() + pkt.sfd.size() + pkt.header.size() +
-                  pkt.payload.size());
-  pkt.all.insert(pkt.all.end(), pkt.preamble.begin(), pkt.preamble.end());
-  pkt.all.insert(pkt.all.end(), pkt.sfd.begin(), pkt.sfd.end());
-  pkt.all.insert(pkt.all.end(), pkt.header.begin(), pkt.header.end());
-  pkt.all.insert(pkt.all.end(), pkt.payload.begin(), pkt.payload.end());
+  pkt.preamble_bits = preamble_.size();
+  pkt.sfd_bits = sfd_.size();
+  pkt.header_bits = header_bits_on_air();
+  BitVec& all = pkt.all;
+  all.reserve(pkt.preamble_bits + pkt.sfd_bits + pkt.header_bits + payload.size() + 32);
+  all.insert(all.end(), preamble_.begin(), preamble_.end());
+  all.insert(all.end(), sfd_.begin(), sfd_.end());
+  const std::size_t header_begin = all.size();
+  append_uint_bits(all, payload.size(), config_.header_length_bits);
+  append_uint_bits(all, crc16_ccitt(std::span(all).subspan(header_begin)), 16);
+  const std::size_t payload_begin = all.size();
+  all.insert(all.end(), payload.begin(), payload.end());
+  append_uint_bits(all, crc32_ieee(std::span(all).subspan(payload_begin)), 32);
   return pkt;
 }
 

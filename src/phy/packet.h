@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 
 #include "common/types.h"
 
@@ -19,14 +20,27 @@ struct PacketConfig {
   int header_length_bits = 16;        ///< payload length field + reserved
 };
 
-/// A framed packet's bit layout.
+/// A framed packet: the on-air bits in one vector, its sections back to
+/// back -- the repeated m-sequence preamble, the SFD (Barker-13 extended),
+/// the header (length field + CRC-16) and the payload (+ CRC-32).
 struct FramedPacket {
-  BitVec preamble;   ///< repeated m-sequence
-  BitVec sfd;        ///< fixed delimiter pattern (Barker-13 extended)
-  BitVec header;     ///< length field + CRC-16
-  BitVec payload;    ///< payload bits + CRC-32
-  BitVec all;        ///< concatenation of the above
+  BitVec all;
+  std::size_t preamble_bits = 0;
+  std::size_t sfd_bits = 0;
+  std::size_t header_bits = 0;
 
+  [[nodiscard]] std::span<const uint8_t> preamble() const noexcept {
+    return std::span(all).first(preamble_bits);
+  }
+  [[nodiscard]] std::span<const uint8_t> sfd() const noexcept {
+    return std::span(all).subspan(preamble_bits, sfd_bits);
+  }
+  [[nodiscard]] std::span<const uint8_t> header() const noexcept {
+    return std::span(all).subspan(preamble_bits + sfd_bits, header_bits);
+  }
+  [[nodiscard]] std::span<const uint8_t> payload() const noexcept {
+    return std::span(all).subspan(preamble_bits + sfd_bits + header_bits);
+  }
   [[nodiscard]] std::size_t total_bits() const noexcept { return all.size(); }
 };
 
@@ -55,7 +69,7 @@ class PacketFramer {
   /// SFD bit pattern.
   [[nodiscard]] const BitVec& sfd_bits() const noexcept { return sfd_; }
 
-  /// Frames \p payload into a packet.
+  /// Frames \p payload into a packet, built in one allocation.
   [[nodiscard]] FramedPacket frame(const BitVec& payload) const;
 
   /// Parses the header+payload section (bits after the SFD). Returns

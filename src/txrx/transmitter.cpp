@@ -28,15 +28,16 @@ Gen1Transmitter::Gen1Transmitter(const Gen1Config& config)
 }
 
 Gen1Train Gen1Transmitter::transmit_train(const BitVec& payload) const {
-  const phy::FramedPacket pkt = framer_.frame(payload);
+  phy::FramedPacket pkt = framer_.frame(payload);
+  const std::size_t body_bits = pkt.payload().size();
 
   // Data section = SFD + header + payload(+CRC), each bit spread over
-  // pulses_per_bit polarity-scrambled pulses.
-  BitVec data_bits;
-  data_bits.reserve(pkt.sfd.size() + pkt.header.size() + pkt.payload.size());
-  data_bits.insert(data_bits.end(), pkt.sfd.begin(), pkt.sfd.end());
-  data_bits.insert(data_bits.end(), pkt.header.begin(), pkt.header.end());
-  data_bits.insert(data_bits.end(), pkt.payload.begin(), pkt.payload.end());
+  // pulses_per_bit polarity-scrambled pulses. The bit-level preamble is
+  // not on air at gen-1 (its preamble is the pulse-level PN below), so the
+  // frame's bits, less that prefix, become the data section in place.
+  BitVec data_bits = std::move(pkt.all);
+  data_bits.erase(data_bits.begin(),
+                  data_bits.begin() + static_cast<std::ptrdiff_t>(pkt.preamble_bits));
 
   // Slot amplitudes: pulse-level PN preamble first, then the spread data
   // bits. Every slot sits on the PRF grid (no PPM offsets at gen-1).
@@ -59,15 +60,15 @@ Gen1Train Gen1Transmitter::transmit_train(const BitVec& payload) const {
   frame.payload = payload;
   frame.frame_bits = std::move(data_bits);
   frame.preamble_bits = preamble_frames();
-  frame.sfd_bits = pkt.sfd.size();
+  frame.sfd_bits = pkt.sfd_bits;
   frame.samples_per_bit =
       config_.frame_samples_analog() * static_cast<std::size_t>(config_.pulses_per_bit);
   // Data-section energy per bit (what Eb/N0 sweeps calibrate against).
   frame.energy_per_bit =
       pulse_.total_energy() * static_cast<double>(config_.pulses_per_bit);
-  frame.overhead_symbols = pkt.sfd.size() + pkt.header.size();
-  frame.payload_symbols = pkt.payload.size();
-  frame.body_bits = pkt.payload.size();
+  frame.overhead_symbols = pkt.sfd_bits + pkt.header_bits;
+  frame.payload_symbols = body_bits;
+  frame.body_bits = body_bits;
   return train;
 }
 
@@ -116,12 +117,11 @@ Gen2Transmitter::Gen2Transmitter(const Gen2Config& config)
 }
 
 std::pair<CplxWaveform, TxFrame> Gen2Transmitter::transmit(const BitVec& payload) const {
-  const phy::FramedPacket pkt = framer_.frame(payload);
+  phy::FramedPacket pkt = framer_.frame(payload);
 
   // Preamble + SFD + header always ride BPSK (acquisition needs antipodal
   // correlation); the payload uses the configured modulation.
-  const std::size_t overhead_bits =
-      pkt.preamble.size() + pkt.sfd.size() + pkt.header.size();
+  const std::size_t overhead_bits = pkt.preamble_bits + pkt.sfd_bits + pkt.header_bits;
   const phy::Modulator* bpsk = bpsk_mod_.get();
   const phy::Modulator* payload_mod = payload_mod_.get();
 
@@ -154,9 +154,10 @@ std::pair<CplxWaveform, TxFrame> Gen2Transmitter::transmit(const BitVec& payload
 
   TxFrame frame;
   frame.payload = payload;
-  frame.frame_bits = pkt.all;
-  frame.preamble_bits = pkt.preamble.size();
-  frame.sfd_bits = pkt.sfd.size();
+  frame.body_bits = pkt.payload().size();
+  frame.frame_bits = std::move(pkt.all);
+  frame.preamble_bits = pkt.preamble_bits;
+  frame.sfd_bits = pkt.sfd_bits;
   frame.samples_per_bit = config_.samples_per_bit_analog();
   // Eb over info-carrying symbols: total energy / on-air bits (overhead
   // counted -- it is transmitted energy).
@@ -164,7 +165,6 @@ std::pair<CplxWaveform, TxFrame> Gen2Transmitter::transmit(const BitVec& payload
       wave.total_energy() / static_cast<double>(overhead_bits + body.size());
   frame.overhead_symbols = head_map.weights.size();
   frame.payload_symbols = body_map.weights.size();
-  frame.body_bits = pkt.payload.size();
   return {std::move(wave), std::move(frame)};
 }
 

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/error.h"
 #include "common/rng.h"
 #include "phy/bits.h"
@@ -231,12 +233,44 @@ TEST(Packet, FrameLayout) {
   Rng rng(8);
   const BitVec payload = rng.bits(100);
   const FramedPacket pkt = framer.frame(payload);
-  EXPECT_EQ(pkt.preamble.size(), 127u * 4u);
-  EXPECT_EQ(pkt.sfd.size(), 16u);
-  EXPECT_EQ(pkt.header.size(), 32u);          // 16-bit length + CRC-16
-  EXPECT_EQ(pkt.payload.size(), 132u);        // payload + CRC-32
-  EXPECT_EQ(pkt.total_bits(),
-            pkt.preamble.size() + pkt.sfd.size() + pkt.header.size() + pkt.payload.size());
+  EXPECT_EQ(pkt.preamble().size(), 127u * 4u);
+  EXPECT_EQ(pkt.sfd().size(), 16u);
+  EXPECT_EQ(pkt.header().size(), 32u);          // 16-bit length + CRC-16
+  EXPECT_EQ(pkt.payload().size(), 132u);        // payload + CRC-32
+  EXPECT_EQ(pkt.total_bits(), pkt.preamble().size() + pkt.sfd().size() +
+                                  pkt.header().size() + pkt.payload().size());
+}
+
+TEST(Packet, FrameMatchesTheSectionByConcatenation) {
+  // frame() builds the packet in one vector; it must hold the bits of the
+  // section-by-section composition: preamble, SFD, length field + CRC-16,
+  // payload + CRC-32.
+  PacketConfig config;
+  config.preamble_msequence_degree = 5;
+  config.preamble_repetitions = 2;
+  config.sfd_length = 13;
+  config.header_length_bits = 12;
+  Rng rng(0xF4A);
+  for (const PacketConfig& cfg : {PacketConfig{}, config}) {
+    const PacketFramer framer(cfg);
+    for (const std::size_t len : {0u, 1u, 7u, 48u, 100u, 333u}) {
+      const BitVec payload = rng.bits(len);
+      BitVec expected = framer.preamble_bits();
+      expected.insert(expected.end(), framer.sfd_bits().begin(), framer.sfd_bits().end());
+      const BitVec header = append_crc16(uint_to_bits(len, cfg.header_length_bits));
+      expected.insert(expected.end(), header.begin(), header.end());
+      const BitVec body = append_crc32(payload);
+      expected.insert(expected.end(), body.begin(), body.end());
+
+      const FramedPacket pkt = framer.frame(payload);
+      EXPECT_EQ(pkt.all, expected) << "payload of " << len << " bits";
+      EXPECT_TRUE(std::equal(pkt.header().begin(), pkt.header().end(), header.begin(),
+                             header.end()));
+      EXPECT_TRUE(std::equal(pkt.payload().begin(), pkt.payload().end(), body.begin(),
+                             body.end()));
+      EXPECT_EQ(pkt.all.capacity(), pkt.all.size()) << "the frame grew past its reservation";
+    }
+  }
 }
 
 TEST(Packet, DeframeRecoversPayload) {
@@ -244,8 +278,8 @@ TEST(Packet, DeframeRecoversPayload) {
   Rng rng(9);
   const BitVec payload = rng.bits(64);
   const FramedPacket pkt = framer.frame(payload);
-  BitVec post_sfd = pkt.header;
-  post_sfd.insert(post_sfd.end(), pkt.payload.begin(), pkt.payload.end());
+  BitVec post_sfd(pkt.header().begin(), pkt.header().end());
+  post_sfd.insert(post_sfd.end(), pkt.payload().begin(), pkt.payload().end());
   const auto result = framer.deframe(post_sfd);
   ASSERT_TRUE(result.has_value());
   EXPECT_TRUE(result->header_ok);
@@ -257,17 +291,17 @@ TEST(Packet, DeframeRecoversPayload) {
 TEST(Packet, DeframeRejectsCorruptHeader) {
   PacketFramer framer;
   const FramedPacket pkt = framer.frame(BitVec(32, 1));
-  BitVec post_sfd = pkt.header;
+  BitVec post_sfd(pkt.header().begin(), pkt.header().end());
   post_sfd[3] ^= 1;  // corrupt the length field
-  post_sfd.insert(post_sfd.end(), pkt.payload.begin(), pkt.payload.end());
+  post_sfd.insert(post_sfd.end(), pkt.payload().begin(), pkt.payload().end());
   EXPECT_FALSE(framer.deframe(post_sfd).has_value());
 }
 
 TEST(Packet, DeframeFlagsCorruptPayload) {
   PacketFramer framer;
   const FramedPacket pkt = framer.frame(BitVec(32, 0));
-  BitVec post_sfd = pkt.header;
-  BitVec body = pkt.payload;
+  BitVec post_sfd(pkt.header().begin(), pkt.header().end());
+  BitVec body(pkt.payload().begin(), pkt.payload().end());
   body[10] ^= 1;
   post_sfd.insert(post_sfd.end(), body.begin(), body.end());
   const auto result = framer.deframe(post_sfd);
