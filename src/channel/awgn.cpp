@@ -1,5 +1,6 @@
 #include "channel/awgn.h"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -203,6 +204,10 @@ template <std::size_t kBytes>
 struct Xoshiro256pp {
   std::uint64_t s[4];
 
+  explicit Xoshiro256pp(const std::uint64_t (&state)[4]) {
+    std::copy(std::begin(state), std::end(state), s);
+  }
+
   explicit Xoshiro256pp(std::uint64_t seed) {
     // SplitMix64 expansion of the single seed word (the reference method).
     std::uint64_t z = seed;
@@ -299,13 +304,19 @@ inline float zig_one_f(std::uint32_t u, Xoshiro256pp& eng, const ZigguratTablesF
 
 }  // namespace
 
-void add_awgn(float* x, std::size_t n, double n0, Rng& rng) {
+FloatAwgn::FloatAwgn(double n0, Rng& rng) {
   detail::require(n0 >= 0.0, "add_awgn: N0 must be non-negative");
-  if (n0 == 0.0 || n == 0) return;
-  const obs::StageTimer timer(obs::Stage::kChannelNoise, n);
-  const auto sigma = static_cast<float>(std::sqrt(n0 / 2.0));
+  if (n0 == 0.0) return;
+  sigma_ = static_cast<float>(std::sqrt(n0 / 2.0));
+  const Xoshiro256pp eng(rng.engine()());
+  std::copy(std::begin(eng.s), std::end(eng.s), state_);
+}
+
+void FloatAwgn::add(float* x, std::size_t n) {
+  if (sigma_ == 0.0f) return;
+  const float sigma = sigma_;
   const ZigguratTablesF& t = zig_tables_f();
-  Xoshiro256pp eng(rng.engine()());
+  Xoshiro256pp eng(state_);
   std::size_t i = 0;
   // Two draws per engine word: low half then high half.
   for (; i + 2 <= n; i += 2) {
@@ -317,6 +328,14 @@ void add_awgn(float* x, std::size_t n, double n0, Rng& rng) {
     x[i] += sigma *
             zig_one_f(static_cast<std::uint32_t>(eng.next()), eng, t);
   }
+  std::copy(std::begin(eng.s), std::end(eng.s), state_);
+}
+
+void add_awgn(float* x, std::size_t n, double n0, Rng& rng) {
+  detail::require(n0 >= 0.0, "add_awgn: N0 must be non-negative");
+  if (n0 == 0.0 || n == 0) return;
+  const obs::StageTimer timer(obs::Stage::kChannelNoise, n);
+  FloatAwgn(n0, rng).add(x, n);
 }
 
 void add_awgn(CplxVec& x, double n0, Rng& rng) {

@@ -11,6 +11,7 @@
 /// textbook curves the benches compare against.
 
 #include <cstddef>
+#include <cstdint>
 
 #include "common/isa.h"
 #include "common/rng.h"
@@ -36,11 +37,35 @@ void add_awgn(CplxVec& x, double n0, Rng& rng);
 /// Adds real AWGN with per-sample variance n0/2 in place.
 void add_awgn(RealVec& x, double n0, Rng& rng);
 
-/// Single-precision AWGN over a raw buffer -- the gen-1 float sample arena's
-/// noise path. Runs a float ziggurat on a xoshiro256++ stream seeded by one
-/// draw from \p rng's engine, so each trial's noise stays a pure function of
-/// its forked seed (the determinism contract); realizations differ from the
-/// double overload's at the sampler level, not just in rounding.
+/// Single-precision real AWGN with per-sample variance n0/2, the gen-1
+/// float capture's noise: a float ziggurat on a xoshiro256++ stream seeded
+/// by one draw from the trial Rng's engine, so each trial's noise stays a
+/// pure function of its forked seed (the determinism contract);
+/// realizations differ from the double overload's at the sampler level,
+/// not just in rounding. One stream serves a whole capture: a gen-1 genie
+/// trial synthesizes only the segments its receiver reads and adds their
+/// noise in ascending sample order, one add() per segment. Each add()
+/// draws its samples in pairs from one engine word, low half first; an
+/// odd count's last sample takes the low half of a fresh word.
+class FloatAwgn {
+ public:
+  /// Draws the stream's seed from \p rng, unless \p n0 is 0 (no noise).
+  FloatAwgn(double n0, Rng& rng);
+
+  /// Adds the next \p n draws of the stream to x[0 .. n).
+  void add(float* x, std::size_t n);
+
+  /// The variance of the noise added: sigma^2 for the float sigma applied.
+  [[nodiscard]] double variance() const noexcept {
+    return static_cast<double>(sigma_) * static_cast<double>(sigma_);
+  }
+
+ private:
+  float sigma_ = 0.0f;
+  std::uint64_t state_[4] = {};
+};
+
+/// FloatAwgn over one buffer: x[0 .. n) from a fresh stream.
 void add_awgn(float* x, std::size_t n, double n0, Rng& rng);
 
 /// Waveform overloads.

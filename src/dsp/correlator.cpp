@@ -75,20 +75,71 @@ template <std::size_t kBytes, std::size_t kAcc, std::size_t kStride, typename T>
   return j;
 }
 
-/// The one dot_bank body every clone compiles: wide blocks, then single
-/// vectors, then scalars for the last few outputs. All three tiers add the
-/// same products in the same order, so neither the block width nor the ISA
-/// changes a byte. kStride = 2 runs interleaved complex data against real
-/// taps (the real and imaginary parts are independent lanes).
+/// Runs kN vectors of outputs starting at \p start[0 .. kN) as one block,
+/// with the accumulation of dot_bank_blocks.
+template <std::size_t kBytes, std::size_t kN, std::size_t kStride, typename T>
+[[gnu::always_inline]] inline void dot_bank_vectors(const T* x, const std::size_t* start,
+                                                    const T* h, std::size_t h_len,
+                                                    T* out) noexcept {
+  using V = typename simd::Vec<T, kBytes>::type;
+  V acc[kN] = {};
+  for (std::size_t m = 0; m < h_len; ++m) {
+    const V hm = h[m] - V{};
+    for (std::size_t a = 0; a < kN; ++a) {
+      V xv;
+      simd::load(xv, x + start[a] + kStride * m);
+      acc[a] += xv * hm;
+    }
+  }
+  for (std::size_t a = 0; a < kN; ++a) simd::store(out + start[a], acc[a]);
+}
+
+/// Outputs [j, num_out), fewer than kAcc vectors' worth, as one block of
+/// whole vectors whose last one ends at num_out: it overlaps outputs the
+/// block before wrote and writes them again with the same bytes, so short
+/// runs (a few dozen outputs) run as parallel add chains, not one vector
+/// after another and then scalar by scalar. Requires num_out >= kW.
+template <std::size_t kBytes, std::size_t kAcc, std::size_t kStride, typename T>
+[[gnu::always_inline]] inline void dot_bank_rest(const T* x, std::size_t j, std::size_t num_out,
+                                                 const T* h, std::size_t h_len,
+                                                 T* out) noexcept {
+  constexpr std::size_t kW = kBytes / sizeof(T);
+  const std::size_t vecs = (num_out - j + kW - 1) / kW;  // 1 .. kAcc
+  std::size_t start[kAcc];
+  for (std::size_t a = 0; a < vecs; ++a) start[a] = std::min(j + a * kW, num_out - kW);
+  static_assert(kAcc == 8);
+  switch (vecs) {
+    case 1: return dot_bank_vectors<kBytes, 1, kStride>(x, start, h, h_len, out);
+    case 2: return dot_bank_vectors<kBytes, 2, kStride>(x, start, h, h_len, out);
+    case 3: return dot_bank_vectors<kBytes, 3, kStride>(x, start, h, h_len, out);
+    case 4: return dot_bank_vectors<kBytes, 4, kStride>(x, start, h, h_len, out);
+    case 5: return dot_bank_vectors<kBytes, 5, kStride>(x, start, h, h_len, out);
+    case 6: return dot_bank_vectors<kBytes, 6, kStride>(x, start, h, h_len, out);
+    case 7: return dot_bank_vectors<kBytes, 7, kStride>(x, start, h, h_len, out);
+    default: return dot_bank_vectors<kBytes, 8, kStride>(x, start, h, h_len, out);
+  }
+}
+
+/// The one dot_bank body every clone compiles: wide blocks, then the rest
+/// as one block of overlapping vectors, or scalars when there are fewer
+/// outputs than one vector holds. Every tier adds the same products in the
+/// same order, so neither the block width, the overlap nor the ISA changes
+/// a byte. kStride = 2 runs interleaved complex data against real taps (the
+/// real and imaginary parts are independent lanes).
 template <std::size_t kBytes, std::size_t kAcc, std::size_t kStride, typename T>
 [[gnu::always_inline]] inline void dot_bank_body(const T* x, std::size_t num_out, const T* h,
                                                  std::size_t h_len, T* out) noexcept {
-  std::size_t j = dot_bank_blocks<kBytes, kAcc, kStride>(x, 0, num_out, h, h_len, out);
-  j = dot_bank_blocks<kBytes, 1, kStride>(x, j, num_out, h, h_len, out);
-  for (; j < num_out; ++j) {
+  constexpr std::size_t kW = kBytes / sizeof(T);
+  const std::size_t j = dot_bank_blocks<kBytes, kAcc, kStride>(x, 0, num_out, h, h_len, out);
+  if (j == num_out) return;
+  if (num_out >= kW) {
+    dot_bank_rest<kBytes, kAcc, kStride>(x, j, num_out, h, h_len, out);
+    return;
+  }
+  for (std::size_t k = j; k < num_out; ++k) {
     T acc{};
-    for (std::size_t m = 0; m < h_len; ++m) acc += x[j + kStride * m] * h[m];
-    out[j] = acc;
+    for (std::size_t m = 0; m < h_len; ++m) acc += x[k + kStride * m] * h[m];
+    out[k] = acc;
   }
 }
 

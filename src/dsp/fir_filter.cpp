@@ -83,22 +83,18 @@ RealVec convolve_same(const RealVec& x, const RealVec& h) {
 namespace {
 
 /// Direct "same"-mode kernel shared by the real, float and complex entry
-/// points: outputs [first, last) of the x_len, written to y[0 ..). Gather
-/// form over reversed taps: the scatter full convolution adds x[i]*h[k] in
-/// ascending-i order, which for a fixed output is descending-k -- i.e.
-/// ascending over the reversed kernel. Accumulating that way keeps every
+/// points: outputs [first, last) of the x_len, written to y[0 ..), over the
+/// h_len reversed taps \p r. Gather form: the scatter full convolution
+/// adds x[i]*h[k] in ascending-i order, which for a fixed output is
+/// descending-k -- i.e. ascending over the reversed kernel. Accumulating that way keeps every
 /// double and complex output bit-identical to the scatter form while the
 /// interior runs contiguous-stride through dot_bank's vector blocks, whose
 /// outputs do not depend on where a block starts. Taps are T for real
 /// samples and double for complex ones.
-template <typename T>
-void convolve_same_direct(const T* x, std::size_t x_len, const RealVec& h, T* y,
+template <typename T, typename Tap>
+void convolve_same_direct(const T* x, std::size_t x_len, const Tap* r, std::size_t h_len, T* y,
                           std::size_t first, std::size_t last) {
-  using Tap = std::conditional_t<std::is_same_v<T, cplx>, double, T>;
-  const std::size_t h_len = h.size();
   const std::size_t start = (h_len - 1) / 2;
-  const TapScratch<Tap> taps(h.data(), h_len, /*reversed=*/true);
-  const Tap* r = taps.data();
 
   const auto n = static_cast<std::ptrdiff_t>(x_len);
   const auto edge_out = [&](std::size_t j) {
@@ -121,6 +117,15 @@ void convolve_same_direct(const T* x, std::size_t x_len, const RealVec& h, T* y,
   const std::size_t hi = std::min(last, tail_begin);
   if (lo < hi) dot_bank(x + (lo - head_end), hi - lo, r, h_len, y + (lo - first));
   for (std::size_t j = std::max(first, tail_begin); j < last; ++j) edge_out(j);
+}
+
+/// convolve_same_direct() over \p h, reversed and converted per call.
+template <typename T>
+void convolve_same_direct(const T* x, std::size_t x_len, const RealVec& h, T* y,
+                          std::size_t first, std::size_t last) {
+  using Tap = std::conditional_t<std::is_same_v<T, cplx>, double, T>;
+  const TapScratch<Tap> taps(h.data(), h.size(), /*reversed=*/true);
+  convolve_same_direct(x, x_len, taps.data(), h.size(), y, first, last);
 }
 
 /// convolve_same_to() above the FFT crossover: the full overlap-save
@@ -156,13 +161,17 @@ void convolve_same_to(const cplx* x, std::size_t x_len, const RealVec& h, cplx* 
 }
 
 void convolve_same_to(const float* x, std::size_t x_len, const RealVec& h, float* y) {
-  convolve_same_to(x, x_len, h, y, 0, x_len);
+  if (x_len == 0 || h.empty()) return;
+  convolve_same_direct(x, x_len, h, y, 0, x_len);
 }
 
-void convolve_same_to(const float* x, std::size_t x_len, const RealVec& h, float* y,
-                      std::size_t first, std::size_t count) {
-  if (count == 0 || h.empty()) return;
-  convolve_same_direct(x, x_len, h, y, first, first + count);
+void convolve_same_to(const float* x, std::size_t x_len, std::span<const float> reversed_taps,
+                      float* y, std::size_t first, std::size_t count) {
+  detail::require(first <= x_len && count <= x_len - first,
+                  "convolve_same_to: output range past the input");
+  if (count == 0 || reversed_taps.empty()) return;
+  convolve_same_direct(x, x_len, reversed_taps.data(), reversed_taps.size(), y, first,
+                       first + count);
 }
 
 CplxVec convolve_same(const CplxVec& x, const RealVec& h) {

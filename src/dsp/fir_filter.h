@@ -4,6 +4,7 @@
 ///        samples; both streaming (stateful) and block (convolution) modes.
 
 #include <cstddef>
+#include <span>
 
 #include "common/error.h"
 #include "common/types.h"
@@ -92,12 +93,13 @@ void convolve_same_to(const double* x, std::size_t x_len, const RealVec& h, doub
 void convolve_same_to(const float* x, std::size_t x_len, const RealVec& h, float* y);
 
 /// The float "same"-mode convolution restricted to outputs
-/// [first, first + count) of the x_len: writes y[0 .. count) with the bytes
-/// the whole call above writes at y[first ..], so a caller can filter a long
-/// capture tile by tile while each tile is still in cache. Requires
+/// [first, first + count) of the x_len, over taps a caller converted once:
+/// reversed_taps[m] = float(h[h_len - 1 - m]). Writes y[0 .. count) with
+/// the bytes the whole call above writes at y[first ..], so a caller can
+/// filter the few stretches of a capture it reads. Requires
 /// first + count <= x_len.
-void convolve_same_to(const float* x, std::size_t x_len, const RealVec& h, float* y,
-                      std::size_t first, std::size_t count);
+void convolve_same_to(const float* x, std::size_t x_len, std::span<const float> reversed_taps,
+                      float* y, std::size_t first, std::size_t count);
 
 /// Complex "same"-mode convolution into a caller-owned buffer \p y of
 /// length \p x_len: bit-identical to convolve_same(CplxVec, RealVec), and

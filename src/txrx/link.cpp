@@ -1,10 +1,12 @@
 #include "txrx/link.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "channel/awgn.h"
 #include "channel/interferer.h"
 #include "common/error.h"
+#include "common/math_utils.h"
 #include "dsp/fast_convolve.h"
 #include "dsp/fir_filter.h"
 #include "fec/viterbi_decoder.h"
@@ -503,29 +505,49 @@ const dsp::AlignedVec<float>& Gen1Link::prototype_f() {
   return proto_f_;
 }
 
-std::span<const float> Gen1Link::scatter_and_noise(const std::vector<double>& amplitudes,
-                                                   std::size_t delay_frames,
-                                                   const dsp::AlignedVec<float>& kernel,
-                                                   double n0, Rng& rng) {
-  const std::size_t frame_samples = config_.frame_samples_analog();
-  const std::size_t delay_samples = delay_frames * frame_samples;
-  const std::size_t out_len =
-      delay_samples + frame_samples * amplitudes.size() + kernel.size();
-  // Tail pad so late fingers stay in range (the dense path's rx_wave.pad).
-  const auto pad = static_cast<std::size_t>(64e-9 * config_.analog_fs);
+std::span<const float> Gen1Link::synthesize(std::span<const CaptureSegment> segments,
+                                            const std::vector<double>& amplitudes,
+                                            std::size_t delay_samples,
+                                            const dsp::AlignedVec<float>& kernel,
+                                            channel::FloatAwgn& noise) {
+  std::size_t total = 0;
+  for (const CaptureSegment& seg : segments) total += seg.size();
   {
-    const obs::StageTimer timer(obs::Stage::kChannelConvolve, out_len);
-    rx_arena_.assign_zero(out_len + pad);
-    const float* src = kernel.data();
+    // Slot s adds a_s * g over [delay + s F, delay + s F + |g|); each
+    // segment sums the slots that meet it in ascending order, as a scatter
+    // over the whole capture would.
+    const obs::StageTimer timer(obs::Stage::kChannelConvolve, total);
+    input_.assign_zero(total);
+    const std::size_t F = config_.frame_samples_analog();
     const std::size_t g_len = kernel.size();
-    for (std::size_t s = 0; s < amplitudes.size(); ++s) {
-      const auto a = static_cast<float>(amplitudes[s]);
-      float* dst = rx_arena_.data() + delay_samples + s * frame_samples;
-      for (std::size_t i = 0; i < g_len; ++i) dst[i] += a * src[i];
+    float* out = input_.data();
+    for (const CaptureSegment& seg : segments) {
+      if (g_len > 0 && seg.end > delay_samples) {
+        const std::size_t s_lo = seg.begin + 1 > delay_samples + g_len
+                                     ? ceil_div(seg.begin + 1 - delay_samples - g_len, F)
+                                     : 0;
+        const std::size_t s_hi = std::min(amplitudes.size(), (seg.end - 1 - delay_samples) / F + 1);
+        for (std::size_t s = s_lo; s < s_hi; ++s) {
+          const auto a = static_cast<float>(amplitudes[s]);
+          const std::size_t p = delay_samples + s * F;
+          const std::size_t i0 = std::max(p, seg.begin);
+          const std::size_t i1 = std::min(p + g_len, seg.end);
+          float* dst = out + (i0 - seg.begin);
+          const float* src = kernel.data() + (i0 - p);
+          for (std::size_t i = 0; i < i1 - i0; ++i) dst[i] += a * src[i];
+        }
+      }
+      out += seg.size();
     }
   }
-  channel::add_awgn(rx_arena_.data(), rx_arena_.size(), n0, rng);
-  return {rx_arena_.data(), rx_arena_.size()};
+  // One noise stream across the segments, in ascending sample order.
+  const obs::StageTimer timer(obs::Stage::kChannelNoise, total);
+  float* out = input_.data();
+  for (const CaptureSegment& seg : segments) {
+    noise.add(out, seg.size());
+    out += seg.size();
+  }
+  return {input_.data(), total};
 }
 
 namespace {
@@ -611,57 +633,80 @@ TrialResult Gen1Link::run_packet(const TrialOptions& options, Rng& rng,
   return out;
 }
 
+Gen1Link::Capture Gen1Link::transmit(const TrialOptions& options, bool dense, Rng& rng) {
+  const BitVec payload = rng.bits(options.payload_bits);
+  Capture capture;
+  {
+    obs::StageTimer tx_timer(obs::Stage::kTxModulate);
+    capture.train = tx_.transmit_train(payload);
+    capture.frame = std::move(capture.train.frame);
+    if (dense) capture.wave = tx_.waveform(capture.train.amplitudes);
+    tx_timer.add_samples(dense ? capture.wave.size() : capture.train.amplitudes.size());
+  }
+  if (options.start_delay_max_frames > 0) {
+    capture.delay_frames = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<int>(options.start_delay_max_frames)));
+    if (dense) capture.wave.delay_samples(capture.delay_frames * config_.frame_samples_analog());
+  }
+  capture.n0 = channel::n0_for_ebn0(capture.frame.energy_per_bit, options.ebn0_db);
+  return capture;
+}
+
+std::span<const float> Gen1Link::synthesize_planned(const Capture& capture,
+                                                    const TrialOptions& options,
+                                                    const TrialContext& context,
+                                                    const Gen1RxOptions& rx_opts, Rng& rng,
+                                                    double& agc_setpoint) {
+  const dsp::AlignedVec<float>* g = &prototype_f();
+  std::span<const double> g_exact = tx_.prototype().samples();
+  if (options.cm >= 1) {
+    const obs::StageTimer timer(obs::Stage::kChannelConvolve);
+    const channel::Cir cir = resolve_gen1_cir(options, context, rng);
+    g_exact = composite_kernel(cir);  // refreshes the float mirror on a new realization
+    g = &g_kernel_f_;
+  }
+  channel::FloatAwgn noise(capture.n0, rng);
+  // Tail pad so late fingers stay in range (the dense path's rx_wave.pad).
+  const std::size_t F = config_.frame_samples_analog();
+  const std::size_t delay_samples = capture.delay_frames * F;
+  const std::size_t n = delay_samples + F * capture.train.amplitudes.size() + g->size() +
+                        static_cast<std::size_t>(64e-9 * config_.analog_fs);
+  const std::span<const CaptureSegment> segments = rx_.plan_capture(
+      n, config_.analog_fs, tx_, capture.frame.frame_bits.size(), rx_opts);
+  const std::span<const float> input =
+      synthesize(segments, capture.train.amplitudes, delay_samples, *g, noise);
+  agc_setpoint = rx_.agc_setpoint(capture.train.amplitudes, g_exact, noise.variance(), n);
+  return input;
+}
+
 Gen1TrialResult Gen1Link::run_packet_full(const TrialOptions& options, Rng& rng,
                                           const TrialContext& context) {
   require_supported(caps_, options);
   Gen1TrialResult trial;
 
-  const BitVec payload = rng.bits(options.payload_bits);
-
   // With the fast-convolve policy on, the dense ~98%-zeros waveform is
-  // never synthesized: the transmitter emits per-frame amplitudes and the
-  // channel (identity for AWGN-only trials) lands as shift-adds of the
-  // composite kernel straight into the single-precision sample arena,
-  // where noise synthesis and the receiver also run. Importance-sampled
-  // trials stay on the double-waveform path: the tilt machinery snapshots
-  // and re-projects the waveform around the noise draw. The Rng draw order
-  // (payload bits, delay, fresh-realization draws, then noise) is shared
-  // by every path, so the pre-noise signal is the same experiment under
-  // any policy; the float path's noise realization differs by design (it
-  // runs the dedicated single-precision sampler, see channel/awgn.h).
+  // never synthesized: the transmitter emits per-frame amplitudes, and the
+  // link synthesizes only the capture segments the receiver will read
+  // (with genie timing, ~7% of the capture around the data section's
+  // pulse phase), landing the channel (identity for AWGN-only trials) as
+  // shift-adds of the composite kernel plus single-precision noise.
+  // Importance-sampled trials stay on the double-waveform path: the tilt
+  // machinery snapshots and re-projects the waveform around the noise
+  // draw; the receiver then reads the same segments of it. The Rng draw
+  // order (payload bits, delay, fresh-realization draws, then noise) is
+  // shared by every path, so the pre-noise signal is the same experiment
+  // under any policy; the float path's noise realization differs by design
+  // (it runs the dedicated single-precision sampler, see channel/awgn.h).
+  // Every path sets the AGC from Gen1Receiver::agc_setpoint.
   const bool tilt_active = options.sampling.active();
   const bool float_path = dsp::fast_convolve_enabled() && !tilt_active;
   const bool sparse_channel =
       !float_path && options.cm >= 1 && dsp::fast_convolve_enabled();
 
-  TxFrame frame;
-  RealWaveform wave;  // dense path only
-  Gen1Train train;    // float / sparse path only
-  {
-    obs::StageTimer tx_timer(obs::Stage::kTxModulate);
-    if (float_path || sparse_channel) {
-      train = tx_.transmit_train(payload);
-      frame = std::move(train.frame);
-      tx_timer.add_samples(train.amplitudes.size());
-    } else {
-      auto wf = tx_.transmit(payload);
-      wave = std::move(wf.first);
-      frame = std::move(wf.second);
-      tx_timer.add_samples(wave.size());
-    }
-  }
+  Capture capture = transmit(options, !float_path && !sparse_channel, rng);
+  const TxFrame& frame = capture.frame;
+  trial.true_offset_adc = capture.delay_frames * config_.frame_samples_adc;
 
-  std::size_t delay_frames = 0;
-  if (options.start_delay_max_frames > 0) {
-    delay_frames = static_cast<std::size_t>(
-        rng.uniform_int(0, static_cast<int>(options.start_delay_max_frames)));
-    if (!float_path && !sparse_channel) {
-      wave.delay_samples(delay_frames * config_.frame_samples_analog());
-    }
-  }
-  trial.true_offset_adc = delay_frames * config_.frame_samples_adc;
-
-  const double n0 = channel::n0_for_ebn0(frame.energy_per_bit, options.ebn0_db);
   Gen1RxOptions rx_opts;
   rx_opts.genie_timing = options.genie_timing;
   rx_opts.genie_offset = trial.true_offset_adc;
@@ -669,19 +714,15 @@ Gen1TrialResult Gen1Link::run_packet_full(const TrialOptions& options, Rng& rng,
   double log_weight = 0.0;
   std::size_t target_bit = 0;
   if (float_path) {
-    const dsp::AlignedVec<float>* g = &prototype_f();
-    if (options.cm >= 1) {
-      const obs::StageTimer timer(obs::Stage::kChannelConvolve);
-      const channel::Cir cir = resolve_gen1_cir(options, context, rng);
-      composite_kernel(cir);  // refreshes the float mirror on a new realization
-      g = &g_kernel_f_;
-    }
-    const std::span<const float> rx_span =
-        scatter_and_noise(train.amplitudes, delay_frames, *g, n0, rng);
-    trial.rx = rx_.receive(rx_span, config_.analog_fs, tx_, frame, rx_opts, rng);
+    double setpoint = 0.0;
+    const std::span<const float> input =
+        synthesize_planned(capture, options, context, rx_opts, rng, setpoint);
+    trial.rx = rx_.receive(input, tx_, frame, rx_opts, setpoint, rng);
   } else {
+    const double n0 = capture.n0;
     channel::Cir cir = channel::identity_cir();
     RealWaveform rx_wave;
+    std::span<const double> g_exact = tx_.prototype().samples();
     if (sparse_channel) {
       {
         const obs::StageTimer timer(obs::Stage::kChannelConvolve);
@@ -689,11 +730,13 @@ Gen1TrialResult Gen1Link::run_packet_full(const TrialOptions& options, Rng& rng,
         composite_kernel(cir);
       }
       rx_wave = apply_gen1_channel_sparse(
-          train.amplitudes, config_.frame_samples_analog(),
-          delay_frames * config_.frame_samples_analog(), g_kernel_, config_.analog_fs);
+          capture.train.amplitudes, config_.frame_samples_analog(),
+          capture.delay_frames * config_.frame_samples_analog(), g_kernel_,
+          config_.analog_fs);
     } else {
-      rx_wave = apply_gen1_channel(std::move(wave), options, context, &cir, rng);
+      rx_wave = apply_gen1_channel(std::move(capture.wave), options, context, &cir, rng);
     }
+    if (options.cm >= 1) g_exact = composite_kernel(cir);
     rx_wave.pad(static_cast<std::size_t>(64e-9 * config_.analog_fs));
 
     // Importance sampling: the target data bit's received contribution is
@@ -720,7 +763,7 @@ Gen1TrialResult Gen1Link::run_packet_full(const TrialOptions& options, Rng& rng,
         shape = filtered.samples();
       }
       const std::size_t bit_offset =
-          (delay_frames + tx_.preamble_frames() + target_bit * ppb) * frame_samples;
+          (capture.delay_frames + tx_.preamble_frames() + target_bit * ppb) * frame_samples;
       tilt = make_tilt_direction<double>(std::move(shape), bit_offset, rx_wave.size());
     }
 
@@ -739,7 +782,12 @@ Gen1TrialResult Gen1Link::run_packet_full(const TrialOptions& options, Rng& rng,
       }
     }
 
-    trial.rx = rx_.receive(rx_wave, tx_, frame, rx_opts, rng);
+    // The setpoint leaves out the tilt's extra variance along one
+    // unit-energy direction: a share of about (scale^2 - 1) / n of the
+    // capture's noise power (docs/performance.md).
+    const double setpoint =
+        rx_.agc_setpoint(capture.train.amplitudes, g_exact, 0.5 * n0, rx_wave.size());
+    trial.rx = rx_.receive(rx_wave, tx_, frame, rx_opts, setpoint, rng);
   }
   trial.bits = trial.rx.bits_compared;
   trial.errors = trial.rx.bit_errors;
@@ -774,52 +822,28 @@ Gen1Link::AcqTrial Gen1Link::run_acquisition(const TrialOptions& options, Rng& r
   require_supported(caps_, options);
   AcqTrial out;
 
-  const BitVec payload = rng.bits(options.payload_bits);
-  // Same path split as run_packet_full (acquisition trials never tilt).
+  // Same path split as run_packet_full (acquisition trials never tilt);
+  // the receiver plans the whole capture.
   const bool float_path = dsp::fast_convolve_enabled();
+  Capture capture = transmit(options, !float_path, rng);
+  const std::size_t true_offset = capture.delay_frames * config_.frame_samples_adc;
 
-  TxFrame frame;
-  RealWaveform wave;  // dense path only
-  Gen1Train train;    // float path only
-  {
-    obs::StageTimer tx_timer(obs::Stage::kTxModulate);
-    if (float_path) {
-      train = tx_.transmit_train(payload);
-      frame = std::move(train.frame);
-      tx_timer.add_samples(train.amplitudes.size());
-    } else {
-      auto wf = tx_.transmit(payload);
-      wave = std::move(wf.first);
-      frame = std::move(wf.second);
-      tx_timer.add_samples(wave.size());
-    }
-  }
-
-  std::size_t delay_frames = 0;
-  if (options.start_delay_max_frames > 0) {
-    delay_frames = static_cast<std::size_t>(
-        rng.uniform_int(0, static_cast<int>(options.start_delay_max_frames)));
-    if (!float_path) wave.delay_samples(delay_frames * config_.frame_samples_analog());
-  }
-  const std::size_t true_offset = delay_frames * config_.frame_samples_adc;
-
-  const double n0 = channel::n0_for_ebn0(frame.energy_per_bit, options.ebn0_db);
   if (float_path) {
-    const dsp::AlignedVec<float>* g = &prototype_f();
-    if (options.cm >= 1) {
-      const obs::StageTimer timer(obs::Stage::kChannelConvolve);
-      const channel::Cir cir = resolve_gen1_cir(options, context, rng);
-      composite_kernel(cir);
-      g = &g_kernel_f_;
-    }
-    const std::span<const float> rx_span =
-        scatter_and_noise(train.amplitudes, delay_frames, *g, n0, rng);
-    out.acq = rx_.acquire(rx_span, config_.analog_fs, tx_, rng);
+    double setpoint = 0.0;
+    const std::span<const float> input =
+        synthesize_planned(capture, options, context, Gen1RxOptions{}, rng, setpoint);
+    out.acq = rx_.acquire(input, tx_, setpoint, rng);
   } else {
-    RealWaveform rx_wave = apply_gen1_channel(std::move(wave), options, context, nullptr, rng);
+    channel::Cir cir = channel::identity_cir();
+    RealWaveform rx_wave = apply_gen1_channel(std::move(capture.wave), options, context, &cir, rng);
     rx_wave.pad(static_cast<std::size_t>(64e-9 * config_.analog_fs));
-    channel::add_awgn(rx_wave, n0, rng);
-    out.acq = rx_.acquire(rx_wave, tx_, rng);
+    channel::add_awgn(rx_wave, capture.n0, rng);
+    const std::span<const double> g_exact =
+        options.cm >= 1 ? std::span<const double>(composite_kernel(cir))
+                        : std::span<const double>(tx_.prototype().samples());
+    const double setpoint = rx_.agc_setpoint(capture.train.amplitudes, g_exact,
+                                             0.5 * capture.n0, rx_wave.size());
+    out.acq = rx_.acquire(rx_wave, tx_, setpoint, rng);
   }
   out.true_offset_adc = true_offset;
 

@@ -20,6 +20,7 @@
 #include <variant>
 #include <vector>
 
+#include "channel/awgn.h"
 #include "channel/saleh_valenzuela.h"
 #include "common/rng.h"
 #include "dsp/aligned.h"
@@ -430,21 +431,43 @@ class Gen1Link final : public Link {
   /// sweep point shares one realization, so g is computed once per point.
   /// g is a pure function of (taps, config) -- caching cannot change
   /// results for any worker count or trial order. Rebuilds also refresh the
-  /// float mirror g_kernel_f_ that the single-precision scatter path reads.
+  /// float mirror g_kernel_f_ that the single-precision synthesis reads.
   const RealVec& composite_kernel(const channel::Cir& cir);
 
   /// Float mirror of the prototype pulse (the AWGN-only scatter kernel),
   /// built on first use.
   const dsp::AlignedVec<float>& prototype_f();
 
-  /// Sparse pulse-train synthesis + channel + AWGN straight into the
-  /// single-precision sample arena: y[n] += a_s * g[n - delay - s*frame]
-  /// over \p kernel, then float noise at \p n0. Returns the arena span the
-  /// receiver's float overloads consume.
-  std::span<const float> scatter_and_noise(const std::vector<double>& amplitudes,
-                                           std::size_t delay_frames,
-                                           const dsp::AlignedVec<float>& kernel, double n0,
-                                           Rng& rng);
+  /// One trial's transmission before the channel: the train, its frame
+  /// bookkeeping, the start delay, N0, and -- for the double-waveform
+  /// paths -- the dense waveform, already delayed.
+  struct Capture {
+    Gen1Train train;
+    TxFrame frame;
+    RealWaveform wave;
+    std::size_t delay_frames = 0;
+    double n0 = 0.0;
+  };
+
+  /// Draws the payload and the start delay and frames the packet; builds
+  /// the dense waveform when \p dense.
+  Capture transmit(const TrialOptions& options, bool dense, Rng& rng);
+
+  /// The float path's capture: resolves the channel, plans the receiver's
+  /// segments for \p rx_opts, synthesizes them, and sets \p agc_setpoint.
+  std::span<const float> synthesize_planned(const Capture& capture, const TrialOptions& options,
+                                            const TrialContext& context,
+                                            const Gen1RxOptions& rx_opts, Rng& rng,
+                                            double& agc_setpoint);
+
+  /// The \p segments of a capture holding y[i] = sum_s a_s * g[i - delay -
+  /// s*frame] through \p kernel plus \p noise, packed back to back in
+  /// input_ (see Gen1Receiver::plan_capture). Returns the packed samples.
+  std::span<const float> synthesize(std::span<const CaptureSegment> segments,
+                                    const std::vector<double>& amplitudes,
+                                    std::size_t delay_samples,
+                                    const dsp::AlignedVec<float>& kernel,
+                                    channel::FloatAwgn& noise);
 
   Gen1Config config_;
   LinkCaps caps_;
@@ -454,7 +477,7 @@ class Gen1Link final : public Link {
   RealVec g_kernel_;
   dsp::AlignedVec<float> g_kernel_f_;  ///< float mirror of g_kernel_
   dsp::AlignedVec<float> proto_f_;     ///< float mirror of the prototype pulse
-  dsp::AlignedVec<float> rx_arena_;    ///< per-packet received-sample arena
+  dsp::AlignedVec<float> input_;       ///< the planned segments' samples, packed
 };
 
 }  // namespace uwb::txrx

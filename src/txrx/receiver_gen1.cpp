@@ -22,6 +22,7 @@ Gen1Receiver::Gen1Receiver(const Gen1Config& config, Rng& rng)
                   "Gen1Receiver: analog rate must be >= ADC rate");
   anti_alias_taps_ =
       dsp::design_lowpass(0.45 * config.adc_rate, config.analog_fs, 63);
+  anti_alias_reversed_.assign(anti_alias_taps_.rbegin(), anti_alias_taps_.rend());
   // Per-lane timing skew happens at the sample-and-hold; the skews are
   // static converter mismatch, so build the table once.
   lane_skews_s_.resize(static_cast<std::size_t>(adc_.num_lanes()));
@@ -30,131 +31,166 @@ Gen1Receiver::Gen1Receiver(const Gen1Config& config, Rng& rng)
   }
 }
 
-namespace {
-
-/// Anti-alias filter tile: small enough that the power sum and the window
-/// sampler read it back from cache, and a multiple of 4 so each power
-/// accumulator keeps its sample phase across tiles.
-constexpr std::size_t kFilterTile = 4096;
-
-/// AGC power: adds the squares of x[0 .. n) to four accumulators, sample i
-/// into p[i % 4] while four remain and the rest into p[0], each in
-/// ascending order. Four independent chains break the FP-add dependency
-/// (the power is an AGC model input, not a bit-exact contract). Out of
-/// line so the accumulators stay in registers across a tile.
-[[gnu::noinline]] void accumulate_power(const float* x, std::size_t n, double (&p)[4]) noexcept {
-  double p0 = p[0], p1 = p[1], p2 = p[2], p3 = p[3];
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const auto v0 = static_cast<double>(x[i]);
-    const auto v1 = static_cast<double>(x[i + 1]);
-    const auto v2 = static_cast<double>(x[i + 2]);
-    const auto v3 = static_cast<double>(x[i + 3]);
-    p0 += v0 * v0;
-    p1 += v1 * v1;
-    p2 += v2 * v2;
-    p3 += v3 * v3;
+Gen1Receiver::MfDemand Gen1Receiver::demand_for(const Gen1Transmitter& tx,
+                                               std::size_t num_bits,
+                                               const Gen1RxOptions& options) const {
+  const std::size_t F = config_.frame_samples_adc;
+  if (!options.genie_timing || config_.aperture_jitter_rms_s > 0.0 ||
+      F < tx.pulse_taps_adc().size() + adc::TimeInterleavedAdc::kLadderBlock) {
+    return MfDemand{};
   }
-  for (; i < n; ++i) {
-    const auto v = static_cast<double>(x[i]);
-    p0 += v * v;
-  }
-  p[0] = p0;
-  p[1] = p1;
-  p[2] = p2;
-  p[3] = p3;
+  // The despreader reads the data section's pulse phase in every frame.
+  const std::size_t start = options.genie_offset;
+  MfDemand demand;
+  demand.first = start % F + (start / F + tx.preamble_frames()) * F;
+  demand.stride = F;
+  demand.count = num_bits * static_cast<std::size_t>(config_.pulses_per_bit);
+  return demand;
 }
 
-}  // namespace
+std::span<const CaptureSegment> Gen1Receiver::plan_capture(std::size_t n, double fs,
+                                                           const Gen1Transmitter& tx,
+                                                           std::size_t num_bits,
+                                                           const Gen1RxOptions& options) {
+  plan_demand_ = demand_for(tx, num_bits, options);
+  sampler_plan_ = sampler_.plan_interleaved(n, fs, lane_skews_s_);
+  const std::size_t n_adc = sampler_plan_.output_size();
+  const std::size_t num_taps = tx.pulse_taps_adc().size();
+  plan_mf_len_ = (num_taps == 0 || n_adc < num_taps) ? 0 : n_adc - num_taps + 1;
 
-std::size_t Gen1Receiver::plan_windows(const MfDemand& demand, std::size_t n, double fs,
-                                       std::size_t n_adc, std::size_t mf_len,
-                                       std::size_t num_taps) {
+  // ADC windows. The default demand is one window over the whole capture.
+  // Otherwise there is one window per demanded output j: ADC samples from
+  // the lane-0 sample at or before j (where the previous window has not
+  // covered them) to j + num_taps, stretched to whole ladder blocks where
+  // the capture allows, so the converter's pattern-blocked clones convert
+  // all of it. A stride of at least num_taps + kBlock keeps each window's
+  // start at or below its output.
   ws_windows_.clear();
-  if (demand.stride == 1) {
-    ws_windows_.push_back({0, n_adc, 0, mf_len, 0, n});
-    return n_adc;
+  plan_sampled_ = 0;
+  if (plan_demand_.stride == 1) {
+    ws_windows_.push_back({0, n_adc, 0, plan_mf_len_, n_adc, 0, 0});
+    plan_sampled_ = n_adc;
+  } else {
+    const auto lanes = static_cast<std::size_t>(adc_.num_lanes());
+    constexpr std::size_t kBlock = adc::TimeInterleavedAdc::kLadderBlock;
+    std::size_t done = 0;
+    for (std::size_t i = 0, j = plan_demand_.first; i < plan_demand_.count && j < plan_mf_len_;
+         ++i, j += plan_demand_.stride) {
+      const std::size_t a = std::max(done, j - j % lanes);
+      const std::size_t b = std::min(n_adc, a + ceil_div(j + num_taps - a, kBlock) * kBlock);
+      ws_windows_.push_back({a, b, j, j + 1, std::min(b, j + num_taps), plan_sampled_, 0});
+      plan_sampled_ += b - a;
+      done = b;
+    }
   }
-  // One window per demanded output j: ADC samples from the lane-0 sample
-  // at or before j (where the previous window has not covered them) to
-  // j + num_taps, stretched to whole ladder blocks where the capture
-  // allows, so the converter's pattern-blocked clones convert all of it.
-  // A stride of at least num_taps + kBlock keeps each window's start at or
-  // below its output.
-  const auto lanes = static_cast<std::size_t>(adc_.num_lanes());
-  constexpr std::size_t kBlock = adc::TimeInterleavedAdc::kLadderBlock;
-  std::size_t done = 0;
-  std::size_t packed = 0;
-  for (std::size_t i = 0, j = demand.first; i < demand.count && j < mf_len;
-       ++i, j += demand.stride) {
-    const std::size_t a = std::max(done, j - j % lanes);
-    const std::size_t b = std::min(n_adc, a + ceil_div(j + num_taps - a, kBlock) * kBlock);
-    ws_windows_.push_back(
-        {a, b, j, j + 1, packed, sampler_.input_end(n, fs, lane_skews_s_, b)});
-    packed += b - a;
-    done = b;
+
+  // Filter runs: the filtered samples each window's sampling reads, and
+  // the analog segment under them -- output i of the "same"-mode filter
+  // reads inputs i - (h_len - 1 - center) .. i + center. Windows whose
+  // segments meet share one run, so segments never overlap and every
+  // input sample is synthesized once.
+  const std::size_t h_len = anti_alias_taps_.size();
+  const std::size_t center = (h_len - 1) / 2;
+  const std::size_t reach_back = h_len - 1 - center;
+  ws_runs_.clear();
+  ws_segments_.clear();
+  for (Window& w : ws_windows_) {
+    const auto [lo, hi] = sampler_plan_.input_range(w.a, w.read - w.a);
+    const CaptureSegment seg{lo - std::min(lo, reach_back), std::min(n, hi + center)};
+    if (!ws_segments_.empty() && seg.begin <= ws_segments_.back().end) {
+      ws_runs_.back().f_end = std::max(ws_runs_.back().f_end, hi);
+      ws_segments_.back().end = std::max(ws_segments_.back().end, seg.end);
+    } else {
+      ws_runs_.push_back({lo, hi, 0, 0});
+      ws_segments_.push_back(seg);
+    }
+    w.run = ws_runs_.size() - 1;
   }
-  return packed;
+  plan_input_ = 0;
+  plan_filtered_ = 0;
+  for (std::size_t r = 0; r < ws_runs_.size(); ++r) {
+    ws_runs_[r].in_offset = plan_input_;
+    ws_runs_[r].f_offset = plan_filtered_;
+    plan_input_ += ws_segments_[r].size();
+    plan_filtered_ += ws_runs_[r].f_end - ws_runs_[r].f_begin;
+  }
+  return ws_segments_;
 }
 
-Gen1Receiver::MfView Gen1Receiver::digitize_and_filter(const float* rx, std::size_t n,
-                                                       double fs, const Gen1Transmitter& tx,
-                                                       Rng& rng, MfDemand demand) {
-  // Every stage after the anti-alias filter is a per-sample function of
-  // (sample index, lane = index % lanes, gain), and each matched-filter
-  // output sums its own window of converted samples, so only the ADC
-  // windows under the demanded outputs are digitized, packed one after
-  // another in the sampled and level arenas. Under aperture jitter each
-  // sample draws its instant in order, and the whole capture is one window.
-  obs::StageTimer fe_timer(obs::Stage::kRxFrontend, n);
-  const std::size_t n_adc = sampler_.output_size(n, fs);
-  const RealVec& taps = tx.pulse_taps_adc();
-  const std::size_t mf_len =
-      (taps.empty() || n_adc < taps.size()) ? 0 : n_adc - taps.size() + 1;
-  // Windows of outputs closer than a filter span plus a ladder block would
-  // overlap; those demands, like jitter, take the whole capture.
-  if (config_.aperture_jitter_rms_s > 0.0 ||
-      demand.stride < taps.size() + adc::TimeInterleavedAdc::kLadderBlock) {
-    demand = MfDemand{};
-  }
-  const std::size_t packed = plan_windows(demand, n, fs, n_adc, mf_len, taps.size());
-  ws_sampled_.resize(packed);
-  std::size_t next = 0;  // first window not sampled yet
-  const auto sample_windows_below = [&](std::size_t filtered) {
-    for (; next < ws_windows_.size() && ws_windows_[next].input_end <= filtered; ++next) {
-      const Window& w = ws_windows_[next];
-      sampler_.sample_interleaved_to(ws_filtered_.data(), n, fs, lane_skews_s_, rng, w.a,
-                                     w.size(), ws_sampled_.data() + w.offset);
+double Gen1Receiver::agc_setpoint(std::span<const double> amplitudes,
+                                  std::span<const double> kernel, double noise_var,
+                                  std::size_t n) const {
+  if (n == 0) return 0.0;
+  const RealVec& h = anti_alias_taps_;
+  double signal = 0.0;
+  if (!kernel.empty() && !h.empty()) {
+    // q = h * g, then the train's filtered energy: slots m frames apart
+    // overlap through R_q(m F) while m F is shorter than q.
+    ws_q_.assign(h.size() + kernel.size() - 1, 0.0);
+    for (std::size_t k = 0; k < h.size(); ++k) {
+      for (std::size_t i = 0; i < kernel.size(); ++i) ws_q_[k + i] += h[k] * kernel[i];
     }
-  };
-
-  // Anti-alias lowpass at the converter's Nyquist edge: the analog front
-  // end band-limits before the 2 GSps sampler. The AGC gain depends on the
-  // power of the whole filtered capture, so the filter always runs over all
-  // of it, tile by tile into the packet arena, summing the power and
-  // sampling the windows whose input is complete while each tile is in
-  // cache. A converged AGC loads the flash at ~1/4 full scale rms (see
-  // rf::AgcParams); the scale commutes with linear-interpolation sampling,
-  // so it is applied to the sampled windows afterwards.
-  ws_filtered_.resize(n);
-  double p[4] = {};
-  for (std::size_t t0 = 0; t0 < n; t0 += kFilterTile) {
-    const std::size_t t1 = std::min(n, t0 + kFilterTile);
-    float* tile = ws_filtered_.data() + t0;
-    dsp::convolve_same_to(rx, n, anti_alias_taps_, tile, t0, t1 - t0);
-    accumulate_power(tile, t1 - t0, p);
-    sample_windows_below(t1);
+    const std::size_t F = config_.frame_samples_analog();
+    for (std::size_t m = 0; m < amplitudes.size() && m * F < ws_q_.size(); ++m) {
+      double r = 0.0;
+      for (std::size_t k = 0; k + m * F < ws_q_.size(); ++k) r += ws_q_[k] * ws_q_[k + m * F];
+      double c = 0.0;
+      for (std::size_t s = 0; s + m < amplitudes.size(); ++s) c += amplitudes[s] * amplitudes[s + m];
+      signal += (m == 0 ? c : 2.0 * c) * r;
+    }
   }
-  const double power_acc = (p[0] + p[1]) + (p[2] + p[3]);
-  const double r = n > 0 ? std::sqrt(power_acc / static_cast<double>(n)) : 0.0;
+  // Tap k of output i reads input i + center - k: inside the capture for
+  // n - |k - center| of the n outputs.
+  const std::size_t center = h.empty() ? 0 : (h.size() - 1) / 2;
+  double noise = 0.0;
+  for (std::size_t k = 0; k < h.size(); ++k) {
+    const std::size_t dist = k > center ? k - center : center - k;
+    if (dist < n) noise += h[k] * h[k] * static_cast<double>(n - dist);
+  }
+  return (signal + noise_var * noise) / static_cast<double>(n);
+}
+
+Gen1Receiver::MfView Gen1Receiver::digitize_and_filter(std::span<const float> input,
+                                                       const Gen1Transmitter& tx,
+                                                       double agc_setpoint, Rng& rng) {
+  detail::require(input.size() == plan_input_,
+                  "Gen1Receiver: the input does not hold the planned segments");
+  // Every stage is a per-sample function of the segment's samples, (sample
+  // index, lane = index % lanes) and the gain, and each matched-filter
+  // output sums its own window of converted samples, so the planned
+  // windows keep the bytes a whole-capture pass gives them.
+  obs::StageTimer fe_timer(obs::Stage::kRxFrontend, plan_filtered_);
+  ws_filtered_.resize(plan_filtered_);
+  ws_sampled_.resize(plan_sampled_);
+  // Anti-alias lowpass at the converter's Nyquist edge: the analog front
+  // end band-limits before the 2 GSps sampler. Each run filters its
+  // segment; its windows are sampled while the run is in cache.
+  std::size_t next = 0;  // first window not sampled yet
+  for (std::size_t r = 0; r < ws_runs_.size(); ++r) {
+    const Run& run = ws_runs_[r];
+    const CaptureSegment& seg = ws_segments_[r];
+    float* filtered = ws_filtered_.data() + run.f_offset;
+    dsp::convolve_same_to(input.data() + run.in_offset, seg.size(), anti_alias_reversed_,
+                          filtered, run.f_begin - seg.begin, run.f_end - run.f_begin);
+    for (; next < ws_windows_.size() && ws_windows_[next].run == r; ++next) {
+      const Window& w = ws_windows_[next];
+      float* sampled = ws_sampled_.data() + w.offset;
+      sampler_plan_.sample(filtered, run.f_begin, rng, w.a, w.read - w.a, sampled);
+      std::fill(sampled + (w.read - w.a), sampled + w.size(), 0.0f);
+    }
+  }
+  // A converged AGC loads the flash at ~1/4 full scale rms of the expected
+  // filtered power (see rf::AgcParams); the scale commutes with
+  // linear-interpolation sampling, so it is applied to the sampled windows.
+  const double r = std::sqrt(agc_setpoint);
   if (r > 0.0) {
     const auto gain = static_cast<float>(0.25 / r);
-    for (std::size_t i = 0; i < packed; ++i) ws_sampled_[i] *= gain;
+    for (std::size_t i = 0; i < plan_sampled_; ++i) ws_sampled_[i] *= gain;
   }
   fe_timer.finish();
 
-  obs::StageTimer adc_timer(obs::Stage::kAdcQuantize, packed);
-  ws_levels_.resize(packed);
+  obs::StageTimer adc_timer(obs::Stage::kAdcQuantize, plan_sampled_);
+  ws_levels_.resize(plan_sampled_);
   for (const Window& w : ws_windows_) {
     adc_.convert_block(ws_sampled_.data() + w.offset, w.a, w.size(),
                        ws_levels_.data() + w.offset);
@@ -164,8 +200,9 @@ Gen1Receiver::MfView Gen1Receiver::digitize_and_filter(const float* rx, std::siz
   // Matched filter with the monocycle; each window's outputs follow the
   // previous window's.
   obs::StageTimer mf_timer(obs::Stage::kCorrelateRake);
+  const RealVec& taps = tx.pulse_taps_adc();
   const dsp::TapScratch<float> taps_f(taps.data(), taps.size(), /*reversed=*/false);
-  ws_mf_.resize(mf_len);
+  ws_mf_.resize(plan_mf_len_);
   std::size_t outputs = 0;
   for (const Window& w : ws_windows_) {
     if (w.j0 == w.j1) continue;
@@ -174,7 +211,7 @@ Gen1Receiver::MfView Gen1Receiver::digitize_and_filter(const float* rx, std::siz
     mf_timer.add_samples(w.j1 - w.j0 + taps.size() - 1);
     outputs += w.j1 - w.j0;
   }
-  return {{ws_mf_.data(), outputs}, demand};
+  return {{ws_mf_.data(), outputs}, plan_demand_};
 }
 
 Gen1AcqResult Gen1Receiver::acquire_on_mf(std::span<const float> mf,
@@ -304,57 +341,46 @@ Gen1AcqResult Gen1Receiver::acquire_on_mf(std::span<const float> mf,
   return result;
 }
 
-namespace {
-
-/// Double-waveform entry points stage through the receiver's float arena:
-/// one converting pass, then the single-precision pipeline.
-void to_float_arena(const RealWaveform& rx, dsp::AlignedVec<float>& arena) {
-  arena.resize(rx.size());
+std::span<const float> Gen1Receiver::pack_segments(const RealWaveform& rx) {
+  ws_rx_.resize(plan_input_);
   const RealVec& s = rx.samples();
-  for (std::size_t i = 0; i < s.size(); ++i) arena[i] = static_cast<float>(s[i]);
+  float* out = ws_rx_.data();
+  for (const CaptureSegment& seg : ws_segments_) {
+    for (std::size_t i = seg.begin; i < seg.end; ++i) *out++ = static_cast<float>(s[i]);
+  }
+  return {ws_rx_.data(), ws_rx_.size()};
 }
-
-}  // namespace
 
 Gen1AcqResult Gen1Receiver::acquire(const RealWaveform& rx, const Gen1Transmitter& tx,
-                                    Rng& rng) {
-  to_float_arena(rx, ws_rx_);
-  return acquire({ws_rx_.data(), ws_rx_.size()}, rx.sample_rate(), tx, rng);
+                                    double agc_setpoint, Rng& rng) {
+  (void)plan_capture(rx.size(), rx.sample_rate(), tx, 0, Gen1RxOptions{});
+  return acquire(pack_segments(rx), tx, agc_setpoint, rng);
 }
 
-Gen1AcqResult Gen1Receiver::acquire(std::span<const float> rx, double fs,
-                                    const Gen1Transmitter& tx, Rng& rng) {
-  return acquire_on_mf(digitize_and_filter(rx.data(), rx.size(), fs, tx, rng, MfDemand{}).values,
-                       tx);
+Gen1AcqResult Gen1Receiver::acquire(std::span<const float> input, const Gen1Transmitter& tx,
+                                    double agc_setpoint, Rng& rng) {
+  detail::require(plan_demand_ == MfDemand{},
+                  "Gen1Receiver::acquire: the plan does not cover the whole capture");
+  return acquire_on_mf(digitize_and_filter(input, tx, agc_setpoint, rng).values, tx);
 }
 
 Gen1RxResult Gen1Receiver::receive(const RealWaveform& rx, const Gen1Transmitter& tx,
                                    const TxFrame& tx_reference, const Gen1RxOptions& options,
-                                   Rng& rng) {
-  to_float_arena(rx, ws_rx_);
-  return receive({ws_rx_.data(), ws_rx_.size()}, rx.sample_rate(), tx, tx_reference,
-                 options, rng);
+                                   double agc_setpoint, Rng& rng) {
+  (void)plan_capture(rx.size(), rx.sample_rate(), tx, tx_reference.frame_bits.size(), options);
+  return receive(pack_segments(rx), tx, tx_reference, options, agc_setpoint, rng);
 }
 
-Gen1RxResult Gen1Receiver::receive(std::span<const float> rx, double fs,
-                                   const Gen1Transmitter& tx, const TxFrame& tx_reference,
-                                   const Gen1RxOptions& options, Rng& rng) {
+Gen1RxResult Gen1Receiver::receive(std::span<const float> input, const Gen1Transmitter& tx,
+                                   const TxFrame& tx_reference, const Gen1RxOptions& options,
+                                   double agc_setpoint, Rng& rng) {
+  detail::require(demand_for(tx, tx_reference.frame_bits.size(), options) == plan_demand_,
+                  "Gen1Receiver::receive: the plan was made for other options");
   Gen1RxResult result;
   const std::size_t F = config_.frame_samples_adc;
   const auto ppb = static_cast<std::size_t>(config_.pulses_per_bit);
   const std::size_t num_bits = tx_reference.frame_bits.size();
-
-  // With genie timing the despreader below reads one matched-filter output
-  // per frame of the data section and nothing else; acquisition and the
-  // SFD search read the whole filter.
-  MfDemand demand;
-  if (options.genie_timing) {
-    const std::size_t start = options.genie_offset;
-    demand.first = start % F + (start / F + tx.preamble_frames()) * F;
-    demand.stride = F;
-    demand.count = num_bits * ppb;
-  }
-  const MfView mf = digitize_and_filter(rx.data(), rx.size(), fs, tx, rng, demand);
+  const MfView mf = digitize_and_filter(input, tx, agc_setpoint, rng);
 
   std::size_t preamble_start = 0;
   if (options.genie_timing) {

@@ -15,14 +15,25 @@
 /// Modeled sync time = dwells1 * K1 * Tf + dwells2 * 127 * Tf, the real-time
 /// cost of a streaming architecture with that much correlator hardware.
 ///
-/// Digitization on demand: once timing is known (genie timing), the
-/// despreader reads one matched-filter output per PRF frame, so the model
-/// samples, converts and matched-filters only the few ADC samples under
-/// those outputs (about 2% of a capture). Each of those stages is a pure
-/// per-sample function of (index, lane, AGC gain), so every output keeps
-/// the bytes of a whole-capture pass. The anti-alias filter and the AGC
-/// power still cover the whole capture, since the gain depends on all of
-/// it; acquisition and the SFD search read the whole filter.
+/// Captures synthesized and digitized on demand: once timing is known
+/// (genie timing), the despreader reads one matched-filter output per PRF
+/// frame, about 2,000 of a capture's ~1.4M ADC samples. plan_capture()
+/// turns those outputs into the ADC windows under them and the analog
+/// input segments the anti-alias filter reads for those windows (85
+/// samples each at the default rates, 6% of the capture); the link
+/// synthesizes signal and noise on those segments only, and the receiver
+/// filters, samples, converts and matched-filters only them. Each stage is a pure function
+/// of the segment's samples, (index, lane) and the AGC gain, so every
+/// output keeps the bytes a whole-capture pass of the same input gives it.
+/// Acquisition, the SFD search and aperture jitter need every output: that
+/// demand is the single segment [0, n).
+///
+/// The AGC is modeled as a converged loop: its gain loads the flash at
+/// 1/4 full scale rms of the *expected* filtered power, agc_setpoint(),
+/// which the caller computes from the train, the channel kernel and the
+/// noise level -- not from the power of the one capture, which would need
+/// all of it. See docs/performance.md, "Gen-1 captures synthesized on
+/// demand", for the derivation and its approximations.
 
 #include <span>
 
@@ -36,6 +47,14 @@
 #include "txrx/transmitter.h"
 
 namespace uwb::txrx {
+
+/// One stretch of a gen-1 capture that a receive reads: analog samples
+/// [begin, end).
+struct CaptureSegment {
+  std::size_t begin = 0;
+  std::size_t end = 0;
+  [[nodiscard]] std::size_t size() const noexcept { return end - begin; }
+};
 
 /// Gen-1 acquisition diagnostics.
 struct Gen1AcqResult {
@@ -71,31 +90,55 @@ class Gen1Receiver {
 
   [[nodiscard]] const Gen1Config& config() const noexcept { return config_; }
 
-  /// Full receive: sample, convert, matched-filter, acquire, despread.
-  /// Converts into the float sample arena once, then runs the
-  /// single-precision pipeline below. With genie timing only the ADC
-  /// windows under the data section's one pulse phase per frame are
-  /// sampled, converted and matched-filtered.
+  /// The analog input that a receive() with \p options -- or, with
+  /// default options, an acquire() -- reads of an \p n-sample capture at
+  /// \p fs whose data section carries \p num_bits bits: ascending,
+  /// disjoint segments, one per stretch of ADC windows the despreader
+  /// reads with genie timing, or the single segment [0, n). The next
+  /// receive() or acquire() takes the segments' samples packed back to back
+  /// in this order. Valid until the next call.
+  std::span<const CaptureSegment> plan_capture(std::size_t n, double fs,
+                                               const Gen1Transmitter& tx, std::size_t num_bits,
+                                               const Gen1RxOptions& options);
+
+  /// The AGC setpoint for an \p n-sample capture holding the pulse train
+  /// sum_s amplitudes[s] * kernel[i - d - s * frame_samples_analog()] (any
+  /// delay d) plus white noise of variance \p noise_var: the expected
+  /// power per sample of the anti-alias filter's output. With q = h * g
+  /// the filtered kernel and R_q its autocorrelation, the signal energy is
+  /// sum_m c_m R_q(m F), c_0 = sum a_s^2, c_m = 2 sum a_s a_{s+m}; the
+  /// noise energy is noise_var * sum_k h_k^2 (n - |k - center|), the taps
+  /// that land inside the capture. The signal term counts the filter
+  /// output before the capture's first sample too (at most one pulse's
+  /// share, 1/amplitudes.size(), when the train starts at sample 0).
+  [[nodiscard]] double agc_setpoint(std::span<const double> amplitudes,
+                                    std::span<const double> kernel, double noise_var,
+                                    std::size_t n) const;
+
+  /// Full receive of the planned segments (plan_capture() with the same
+  /// \p options and tx_reference.frame_bits.size() bits), packed back to
+  /// back in \p input: filter, sample, convert, matched-filter, then
+  /// despread (acquiring first without genie timing).
+  [[nodiscard]] Gen1RxResult receive(std::span<const float> input, const Gen1Transmitter& tx,
+                                     const TxFrame& tx_reference,
+                                     const Gen1RxOptions& options, double agc_setpoint,
+                                     Rng& rng);
+
+  /// receive() of a dense capture: plans it and reads the planned segments.
   [[nodiscard]] Gen1RxResult receive(const RealWaveform& rx, const Gen1Transmitter& tx,
                                      const TxFrame& tx_reference,
-                                     const Gen1RxOptions& options, Rng& rng);
+                                     const Gen1RxOptions& options, double agc_setpoint,
+                                     Rng& rng);
 
-  /// Hot-path receive over the caller's float sample arena at rate \p fs
-  /// (the sparse-channel link path lands here without ever building a
-  /// double waveform).
-  [[nodiscard]] Gen1RxResult receive(std::span<const float> rx, double fs,
-                                     const Gen1Transmitter& tx,
-                                     const TxFrame& tx_reference,
-                                     const Gen1RxOptions& options, Rng& rng);
+  /// Acquisition only (bench E2/E11) of the whole capture planned by
+  /// plan_capture() with default options: the capture must hold at least
+  /// one PN period past the search uncertainty.
+  [[nodiscard]] Gen1AcqResult acquire(std::span<const float> input, const Gen1Transmitter& tx,
+                                      double agc_setpoint, Rng& rng);
 
-  /// Acquisition only (bench E2/E11): processes a capture containing at
-  /// least one PN period past the search uncertainty.
+  /// acquire() of a dense capture.
   [[nodiscard]] Gen1AcqResult acquire(const RealWaveform& rx, const Gen1Transmitter& tx,
-                                      Rng& rng);
-
-  /// Float-arena acquisition (see the receive overload above).
-  [[nodiscard]] Gen1AcqResult acquire(std::span<const float> rx, double fs,
-                                      const Gen1Transmitter& tx, Rng& rng);
+                                      double agc_setpoint, Rng& rng);
 
  private:
   /// The matched-filter outputs a caller will read: count of them, stride
@@ -104,6 +147,7 @@ class Gen1Receiver {
     std::size_t first = 0;
     std::size_t stride = 1;
     std::size_t count = static_cast<std::size_t>(-1);
+    [[nodiscard]] bool operator==(const MfDemand&) const = default;
   };
 
   /// The demanded outputs, packed: values[i] is output
@@ -121,32 +165,40 @@ class Gen1Receiver {
     }
   };
 
+  /// One anti-alias filter run: filtered samples [f_begin, f_end), packed
+  /// at f_offset in ws_filtered_, computed from the segment of the same
+  /// index, whose samples sit at in_offset of the input.
+  struct Run {
+    std::size_t f_begin = 0, f_end = 0, f_offset = 0, in_offset = 0;
+  };
+
   /// One stretch of digitization: ADC samples [a, b), packed at \p offset
   /// in ws_sampled_ and ws_levels_, feeding matched-filter outputs
-  /// [j0, j1); sampling them reads filtered samples below \p input_end.
+  /// [j0, j1). Samples [a, read) are what those outputs read, sampled from
+  /// the filtered samples of ws_runs_[run]; the rest of the block only
+  /// fills the converter's ladder block and is held at zero.
   struct Window {
-    std::size_t a = 0, b = 0, j0 = 0, j1 = 0, offset = 0, input_end = 0;
+    std::size_t a = 0, b = 0, j0 = 0, j1 = 0, read = 0, offset = 0, run = 0;
     [[nodiscard]] std::size_t size() const noexcept { return b - a; }
   };
 
-  /// Fills ws_windows_ with the windows \p demand needs, ascending and
-  /// without overlap, and returns their total sample count; the default
-  /// demand is one window over the whole capture of \p n samples at \p fs.
-  /// Any other demand needs a stride of at least \p num_taps plus one
-  /// ladder block.
-  std::size_t plan_windows(const MfDemand& demand, std::size_t n, double fs,
-                           std::size_t n_adc, std::size_t mf_len, std::size_t num_taps);
+  /// The outputs a receive with \p options reads: one per frame of the
+  /// data section with genie timing, else every output. Windows of outputs
+  /// closer than a matched filter span plus a ladder block would overlap;
+  /// those demands, like aperture jitter, take every output too.
+  [[nodiscard]] MfDemand demand_for(const Gen1Transmitter& tx, std::size_t num_bits,
+                                    const Gen1RxOptions& options) const;
 
-  /// Analog band-limiting + sampling + interleaved conversion + matched
-  /// filtering, entirely in single precision. The anti-alias filter and the
-  /// AGC power cover the whole capture (the gain depends on all of it);
-  /// sampling, conversion and matched filtering run only on the ADC
-  /// windows under the demanded outputs, each of which keeps the bytes a
-  /// whole-capture pass gives it. The returned view reads ws_mf_, valid
-  /// until the next call on this receiver.
-  [[nodiscard]] MfView digitize_and_filter(const float* rx, std::size_t n, double fs,
-                                           const Gen1Transmitter& tx, Rng& rng,
-                                           MfDemand demand);
+  /// Filtering, sampling, conversion and matched filtering of the planned
+  /// windows, entirely in single precision, with the AGC gain of
+  /// \p agc_setpoint. The returned view reads ws_mf_, valid until the next
+  /// call on this receiver.
+  [[nodiscard]] MfView digitize_and_filter(std::span<const float> input,
+                                           const Gen1Transmitter& tx, double agc_setpoint,
+                                           Rng& rng);
+
+  /// Converts the planned segments of \p rx into ws_rx_, packed.
+  std::span<const float> pack_segments(const RealWaveform& rx);
 
   [[nodiscard]] Gen1AcqResult acquire_on_mf(std::span<const float> mf,
                                             const Gen1Transmitter& tx) const;
@@ -155,7 +207,20 @@ class Gen1Receiver {
   adc::SampleAndHold sampler_;
   adc::TimeInterleavedAdc adc_;
   RealVec anti_alias_taps_;
+  std::vector<float> anti_alias_reversed_;  ///< the taps in float, last first
   RealVec lane_skews_s_;  ///< static per-lane skews, built once at construction
+
+  // The last plan_capture(): its demand, sampler set-up, segments, filter
+  // runs and windows, and the sizes of the packed arenas they fill.
+  MfDemand plan_demand_;
+  adc::InterleavedPlan sampler_plan_;
+  std::vector<CaptureSegment> ws_segments_;
+  std::vector<Run> ws_runs_;
+  std::vector<Window> ws_windows_;
+  std::size_t plan_input_ = 0;     ///< segment samples
+  std::size_t plan_filtered_ = 0;  ///< filtered samples over all runs
+  std::size_t plan_sampled_ = 0;   ///< ADC samples over all windows
+  std::size_t plan_mf_len_ = 0;    ///< matched-filter outputs of the capture
 
   // Per-receiver sample arena: every stage of digitize_and_filter writes
   // into one of these 64-byte-aligned grow-only buffers, so steady-state
@@ -163,12 +228,12 @@ class Gen1Receiver {
   // the modeled front end is a 4-bit converter behind an AGC, so float's
   // 24-bit mantissa is ~20 bits beyond the physics while doubling SIMD
   // width through the filter/sampler/converter/matched-filter chain.
-  dsp::AlignedVec<float> ws_rx_;        ///< double->float staging for waveform callers
-  dsp::AlignedVec<float> ws_filtered_;
-  dsp::AlignedVec<float> ws_sampled_;  ///< the windows' samples, packed
-  dsp::AlignedVec<float> ws_levels_;   ///< their converted levels, same packing
-  dsp::AlignedVec<float> ws_mf_;       ///< demanded outputs, packed
-  std::vector<Window> ws_windows_;     ///< this call's digitization windows
+  dsp::AlignedVec<float> ws_rx_;        ///< double->float segments for waveform callers
+  dsp::AlignedVec<float> ws_filtered_;  ///< the runs' filtered samples, packed
+  dsp::AlignedVec<float> ws_sampled_;   ///< the windows' samples, packed
+  dsp::AlignedVec<float> ws_levels_;    ///< their converted levels, same packing
+  dsp::AlignedVec<float> ws_mf_;        ///< demanded outputs, packed
+  mutable RealVec ws_q_;                ///< agc_setpoint's filtered kernel
   mutable dsp::AlignedVec<float> ws_acq_;  ///< stage-1 phase accumulators
 };
 

@@ -74,17 +74,19 @@ Gen1Train Gen1Transmitter::transmit_train(const BitVec& payload) const {
 
 std::pair<RealWaveform, TxFrame> Gen1Transmitter::transmit(const BitVec& payload) const {
   Gen1Train train = transmit_train(payload);
+  return {waveform(train.amplitudes), std::move(train.frame)};
+}
 
+RealWaveform Gen1Transmitter::waveform(const std::vector<double>& amplitudes) const {
   std::vector<pulse::PulseSlot> slots;
-  slots.reserve(train.amplitudes.size());
-  for (double a : train.amplitudes) slots.push_back(pulse::PulseSlot{a, 0.0});
+  slots.reserve(amplitudes.size());
+  for (double a : amplitudes) slots.push_back(pulse::PulseSlot{a, 0.0});
 
   pulse::PulseTrainSpec spec;
   spec.prf_hz = config_.prf_hz();
   spec.pulses_per_bit = config_.pulses_per_bit;
   spec.sample_rate_hz = config_.analog_fs;
-  RealWaveform wave = pulse::build_train(pulse_, slots, spec);
-  return {std::move(wave), std::move(train.frame)};
+  return pulse::build_train(pulse_, slots, spec);
 }
 
 // ---------------------------------------------------------------- Gen-2 ----

@@ -62,6 +62,10 @@ class Gen1Transmitter {
   /// same on-air signal.
   [[nodiscard]] Gen1Train transmit_train(const BitVec& payload) const;
 
+  /// The dense waveform at analog_fs of a train's slot amplitudes: what
+  /// transmit() returns for the payload that train carries.
+  [[nodiscard]] RealWaveform waveform(const std::vector<double>& amplitudes) const;
+
   /// The spreading chip sequence (+/-1) applied across the pulses of a bit.
   [[nodiscard]] const std::vector<double>& spread_chips() const noexcept { return spread_; }
 

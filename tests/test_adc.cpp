@@ -601,24 +601,33 @@ TEST(SampleAndHold, JitterAddsNoiseOnFastSignal) {
   EXPECT_LT(err / n, 5e-2);
 }
 
-/// Runs the range sampler over [first, first + count) with a fresh Rng of
-/// \p seed (what a whole-capture call with the same seed draws first).
-std::vector<float> sample_range(const SampleAndHold& sh, const std::vector<float>& x, double fs,
-                                const RealVec& skews, std::uint64_t seed, std::size_t first,
-                                std::size_t count) {
+/// Samples outputs [first, first + count) from \p plan with a fresh Rng of
+/// \p seed (what a whole-capture call with the same seed draws first),
+/// handing over only the capture's input_range() of them, from its first
+/// sample on, with every other sample poisoned.
+std::vector<float> sample_range(const InterleavedPlan& plan, const std::vector<float>& x,
+                                std::uint64_t seed, std::size_t first, std::size_t count) {
+  const auto [lo, hi] = plan.input_range(first, count);
+  EXPECT_LE(lo, hi);
+  EXPECT_LE(hi, x.size());
+  std::vector<float> window(x.size(), std::numeric_limits<float>::quiet_NaN());
+  std::copy(x.begin() + static_cast<std::ptrdiff_t>(lo),
+            x.begin() + static_cast<std::ptrdiff_t>(hi),
+            window.begin() + static_cast<std::ptrdiff_t>(lo));
   Rng rng(seed);
   std::vector<float> out(count + 1, -9.0f);
-  sh.sample_interleaved_to(x.data(), x.size(), fs, skews, rng, first, count, out.data());
+  plan.sample(window.data() + lo, lo, rng, first, count, out.data());
   EXPECT_EQ(out[count], -9.0f) << "wrote past count";
   out.pop_back();
   return out;
 }
 
-// The range sampler writes the slice of a whole-capture call for random
-// ranges on every path -- the integer-ratio lane path, the general
+// One plan per capture samples the slice of a whole-capture call for
+// random ranges on every path -- the integer-ratio lane path, the general
 // jitter-free path, no lanes, and aperture jitter (same seed) -- including
 // the head and tail where an instant before the input or past its last
-// sample leaves a zero.
+// sample leaves a zero, and reads nothing outside the range's
+// input_range().
 TEST(SampleAndHold, RangeMatchesWholeCaptureSlice) {
   Rng gen(31);
   std::vector<float> x(4001);
@@ -650,6 +659,8 @@ TEST(SampleAndHold, RangeMatchesWholeCaptureSlice) {
               n_out);
     ASSERT_TRUE(whole.front() == 0.0f || whole.back() == 0.0f)
         << c.name << ": neither a head nor a tail zero";
+    const InterleavedPlan plan = sh.plan_interleaved(x.size(), c.fs, c.skews);
+    ASSERT_EQ(plan.output_size(), n_out);
     std::vector<std::pair<std::size_t, std::size_t>> ranges = {
         {0, n_out}, {0, 3}, {n_out - 5, 5}, {n_out - 2, 2}, {n_out, 0}, {1, n_out - 1}};
     for (int t = 0; t < 60; ++t) {
@@ -658,39 +669,30 @@ TEST(SampleAndHold, RangeMatchesWholeCaptureSlice) {
       ranges.emplace_back(first, static_cast<std::size_t>(gen.uniform_int(0, longest)));
     }
     for (const auto& [first, count] : ranges) {
-      const std::vector<float> got = sample_range(sh, x, c.fs, c.skews, 77, first, count);
+      const std::vector<float> got = sample_range(plan, x, 77, first, count);
       EXPECT_EQ(test::first_byte_mismatch(got.data(), whole.data() + first, count), count)
           << c.name << ", first " << first << ", count " << count;
     }
   }
 }
 
-// input_end() bounds what sampling outputs [0, end) reads: poisoning the
-// input from there on changes none of those outputs.
-TEST(SampleAndHold, InputEndBoundsTheInputRead) {
-  Rng gen(32);
-  std::vector<float> x(3000);
-  for (float& v : x) v = static_cast<float>(gen.gaussian(0.0, 1.0));
+// input_range() is tight: within a few samples of the instants the range
+// samples, and the whole capture only under aperture jitter.
+TEST(SampleAndHold, InputRangeIsTight) {
   const RealVec skews = {0.0, 0.2e-9, -0.45e-9, 0.3e-9};
   for (const double fs : {4e9, 5e9}) {
     const SampleAndHold sh({2e9, 0.0, 0.1e-9});
-    const std::size_t n_out = sh.output_size(x.size(), fs);
-    std::vector<float> whole(n_out);
-    Rng rng(1);
-    (void)sh.sample_interleaved_to(x.data(), x.size(), fs, skews, rng, whole.data());
-    for (std::size_t end = 0; end <= n_out; end += 37) {
-      const std::size_t input_end = sh.input_end(x.size(), fs, skews, end);
-      ASSERT_LE(input_end, x.size());
-      EXPECT_LE(input_end, static_cast<std::size_t>(static_cast<double>(end) * fs / 2e9) + 8);
-      std::vector<float> poisoned(x.begin(), x.begin() + static_cast<std::ptrdiff_t>(input_end));
-      poisoned.resize(x.size(), std::numeric_limits<float>::quiet_NaN());
-      const std::vector<float> got = sample_range(sh, poisoned, fs, skews, 1, 0, end);
-      EXPECT_EQ(test::first_byte_mismatch(got.data(), whole.data(), end), end)
-          << "fs " << fs << ", end " << end;
+    const InterleavedPlan plan = sh.plan_interleaved(3000, fs, skews);
+    const double ratio = fs / 2e9;
+    for (std::size_t first = 0; first + 16 <= plan.output_size(); first += 37) {
+      const auto [lo, hi] = plan.input_range(first, 16);
+      EXPECT_GE(static_cast<double>(lo), static_cast<double>(first) * ratio - 8.0);
+      EXPECT_LE(static_cast<double>(hi), static_cast<double>(first + 15) * ratio + 8.0);
     }
   }
   const SampleAndHold jittery({2e9, 1e-12, 0.0});
-  EXPECT_EQ(jittery.input_end(x.size(), 4e9, skews, 10), x.size());
+  const InterleavedPlan plan = jittery.plan_interleaved(3000, 4e9, skews);
+  EXPECT_EQ(plan.input_range(100, 10), (std::pair<std::size_t, std::size_t>{0, 3000}));
 }
 
 TEST(SampleAndHold, RejectsUpsampling) {

@@ -345,6 +345,64 @@ TEST(AwgnBlocked, EveryCloneMatchesScalarLoopBytes) {
   EXPECT_GT(tails, 10u);
 }
 
+/// FNV-1a over a float buffer's bytes.
+std::uint64_t fnv1a(const std::vector<float>& x) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto* p = reinterpret_cast<const unsigned char*>(x.data());
+  for (std::size_t i = 0; i < x.size() * sizeof(float); ++i) {
+    h ^= p[i];
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+TEST(FloatAwgn, OneSegmentKeepsTheOneCallBytes) {
+  // A gen-1 capture planned as one segment gets the noise the one-call
+  // add_awgn(float*) added before captures were synthesized in segments:
+  // the digest and the trial Rng's next word were pinned from that code.
+  const std::size_t n = 20'001;
+  std::vector<float> x(n, 0.25f);
+  Rng rng(0xF10A7);
+  channel::FloatAwgn noise(0.3, rng);
+  noise.add(x.data(), n);
+  EXPECT_EQ(fnv1a(x), 0x83b9d75fdd0a4c47ULL);
+  EXPECT_EQ(rng.engine()(), 7538448562871023294ULL);
+  EXPECT_DOUBLE_EQ(noise.variance(), static_cast<double>(static_cast<float>(std::sqrt(0.15))) *
+                                         static_cast<float>(std::sqrt(0.15)));
+
+  std::vector<float> y(n, 0.25f);
+  Rng same(0xF10A7);
+  channel::add_awgn(y.data(), n, 0.3, same);
+  EXPECT_EQ(test::first_byte_mismatch(y.data(), x.data(), n), n);
+}
+
+TEST(FloatAwgn, SegmentsContinueOneStreamInOrder) {
+  // Even-length segments take consecutive word pairs, so they concatenate
+  // to one add(); an odd-length segment's last sample takes the low half of
+  // a fresh word, so the next segment starts one word on.
+  const std::size_t n = 4'000;
+  std::vector<float> whole(n, 0.0f);
+  Rng rng_whole(0x5E6);
+  channel::FloatAwgn(0.5, rng_whole).add(whole.data(), n);
+
+  std::vector<float> parts(n, 0.0f);
+  Rng rng_parts(0x5E6);
+  channel::FloatAwgn noise(0.5, rng_parts);
+  for (std::size_t at = 0; at < n; at += 500) noise.add(parts.data() + at, 500);
+  EXPECT_EQ(test::first_byte_mismatch(parts.data(), whole.data(), n), n);
+
+  std::vector<float> odd(10, 0.0f);
+  Rng rng_odd(0x5E6);
+  channel::FloatAwgn odd_noise(0.5, rng_odd);
+  odd_noise.add(odd.data(), 5);
+  odd_noise.add(odd.data() + 5, 5);
+  // No draw of these first samples falls in the ziggurat's slow path, so
+  // the words line up with the whole buffer's.
+  EXPECT_EQ(test::first_byte_mismatch(odd.data(), whole.data(), 5), 5u);
+  EXPECT_EQ(test::first_byte_mismatch(odd.data() + 5, whole.data() + 6, 4), 4u);
+  EXPECT_EQ(test::first_byte_mismatch(odd.data() + 9, whole.data() + 10, 1), 1u);
+}
+
 TEST(AwgnBlocked, PublicOverloadsMatchScalarLoopBytes) {
   const double n0 = 0.36;
   const double sigma = std::sqrt(n0 / 2.0);

@@ -563,8 +563,11 @@ TEST(FirFilter, ComplexSameToMatchesConvolveSameBytes) {
 TEST(FirFilter, FloatSameRangeMatchesWholeCallSlice) {
   // Any output range of the float "same" convolution -- head edge,
   // interior, tail edge, and kernels longer than the input -- writes the
-  // bytes of the whole call, so tiling a capture changes nothing. 300 taps
-  // take the tap scratch's heap branch.
+  // bytes of the whole call, so filtering a capture piece by piece changes
+  // nothing. So does filtering the range from a cut of the input that holds
+  // only the samples its outputs read (a gen-1 capture segment), where the
+  // cut's own edges fall inside the capture. 300 taps take the whole
+  // call's tap-scratch heap branch.
   Rng rng(18);
   for (const std::size_t taps : {1, 2, 3, 8, 63, 300}) {
     for (const std::size_t n : {1, 5, 40, 1000, 5003}) {
@@ -572,6 +575,7 @@ TEST(FirFilter, FloatSameRangeMatchesWholeCallSlice) {
       for (float& v : x) v = static_cast<float>(rng.gaussian());
       RealVec h(taps);
       for (double& t : h) t = rng.gaussian();
+      std::vector<float> reversed(h.rbegin(), h.rend());
       std::vector<float> whole(n);
       convolve_same_to(x.data(), n, h, whole.data());
       std::vector<std::pair<std::size_t, std::size_t>> ranges = {{0, n}, {0, 1}, {n - 1, 1}};
@@ -580,12 +584,28 @@ TEST(FirFilter, FloatSameRangeMatchesWholeCallSlice) {
         ranges.emplace_back(first, static_cast<std::size_t>(
                                        rng.uniform_int(0, static_cast<int>(n - first))));
       }
+      const std::size_t center = (taps - 1) / 2;
+      const std::size_t reach_back = taps - 1 - center;
       for (const auto& [first, count] : ranges) {
+        const std::string where = "taps " + std::to_string(taps) + " n " + std::to_string(n) +
+                                  " first " + std::to_string(first) + " count " +
+                                  std::to_string(count);
         std::vector<float> got(count + 1, -9.0f);
-        convolve_same_to(x.data(), n, h, got.data(), first, count);
+        convolve_same_to(x.data(), n, reversed, got.data(), first, count);
         EXPECT_EQ(test::first_byte_mismatch(got.data(), whole.data() + first, count), count)
-            << "taps " << taps << " n " << n << " first " << first << " count " << count;
+            << where;
         EXPECT_EQ(got[count], -9.0f) << "wrote past count";
+
+        const std::size_t cut_begin = first - std::min(first, reach_back);
+        const std::size_t cut_end = std::min(n, first + count + center);
+        const std::vector<float> cut(x.begin() + static_cast<std::ptrdiff_t>(cut_begin),
+                                     x.begin() + static_cast<std::ptrdiff_t>(cut_end));
+        std::vector<float> from_cut(count);
+        convolve_same_to(cut.data(), cut.size(), reversed, from_cut.data(), first - cut_begin,
+                         count);
+        EXPECT_EQ(test::first_byte_mismatch(from_cut.data(), whole.data() + first, count),
+                  count)
+            << "cut " << where;
       }
     }
   }

@@ -66,7 +66,7 @@ TEST(FailurePaths, Gen1TooShortCaptureReportsNoLock) {
 
   // A capture shorter than one stage-2 window cannot be searched.
   RealWaveform stub(RealVec(50000, 0.0), config.analog_fs);
-  const auto acq = receiver.acquire(stub, tx, rng);
+  const auto acq = receiver.acquire(stub, tx, 1.0, rng);
   EXPECT_FALSE(acq.acquired);
 }
 

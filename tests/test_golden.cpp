@@ -32,7 +32,7 @@ const std::map<std::string, std::uint64_t>& pinned_digests() {
   static const std::map<std::string, std::uint64_t> digests = {
       {"gen1_acquisition", 0xaccdc93331fdad58ULL},
       {"gen1_sync", 0xac70559d82b1baf3ULL},
-      {"gen1_waterfall", 0x9a129a65d2c5639dULL},
+      {"gen1_waterfall", 0x968d03d89c1aa68aULL},
       {"gen2_adc_resolution", 0x40faaba8624dfa30ULL},
       {"gen2_backend_ladder", 0xbed3ba9865c46b5ULL},
       {"gen2_chanest_precision", 0x13a3e1287a9f2286ULL},
@@ -129,7 +129,7 @@ struct Gen1Variant {
 };
 
 const Gen1Variant kGen1Variants[] = {
-    {"cm3_fresh", [](txrx::LinkSpec& s) { s.options.cm = 3; }, 0x31987e38f3bafa8ULL},
+    {"cm3_fresh", [](txrx::LinkSpec& s) { s.options.cm = 3; }, 0x23b686fc30ac02b4ULL},
     {"aperture_jitter",
      [](txrx::LinkSpec& s) { s.gen1().aperture_jitter_rms_s = 2e-12; }, 0x40330e65531cb8e5ULL},
     {"tilted",

@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <span>
 #include <vector>
 
 #include "adc/flash_adc.h"
@@ -347,28 +348,23 @@ TEST(Gen1Receiver, CleanPacketZeroErrors) {
   EXPECT_GT(trial.bits, 0u);
 }
 
+/// The gen-1 anti-alias filter, as the receiver designs it.
+RealVec gen1_anti_alias(const Gen1Config& config) {
+  return dsp::design_lowpass(0.45 * config.adc_rate, config.analog_fs, 63);
+}
+
 /// The gen-1 receiver's whole-capture chain built from its public pieces:
-/// anti-alias filter, AGC power, interleaved sampler, gain, flash
-/// conversion, matched filter. \p mismatch_seed seeds the converter as the
-/// receiver's constructor does.
+/// anti-alias filter, interleaved sampler, the AGC gain of \p setpoint,
+/// flash conversion, matched filter. \p mismatch_seed seeds the converter
+/// as the receiver's constructor does.
 std::vector<float> dense_gen1_matched_filter(const Gen1Config& config, const Gen1Transmitter& tx,
-                                             const RealWaveform& rx, std::uint64_t mismatch_seed) {
+                                             const RealWaveform& rx, std::uint64_t mismatch_seed,
+                                             double setpoint) {
   const std::size_t n = rx.size();
   std::vector<float> x(n);
   for (std::size_t i = 0; i < n; ++i) x[i] = static_cast<float>(rx[i]);
-  const RealVec anti_alias = dsp::design_lowpass(0.45 * config.adc_rate, config.analog_fs, 63);
   std::vector<float> filtered(n);
-  dsp::convolve_same_to(x.data(), n, anti_alias, filtered.data());
-  double p[4] = {};
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    for (std::size_t k = 0; k < 4; ++k) {
-      const auto v = static_cast<double>(filtered[i + k]);
-      p[k] += v * v;
-    }
-  }
-  for (; i < n; ++i) p[0] += static_cast<double>(filtered[i]) * filtered[i];
-  const double r = std::sqrt(((p[0] + p[1]) + (p[2] + p[3])) / static_cast<double>(n));
+  dsp::convolve_same_to(x.data(), n, gen1_anti_alias(config), filtered.data());
 
   Rng mismatch(mismatch_seed);
   adc::TimeInterleavedAdc adc(
@@ -383,7 +379,7 @@ std::vector<float> dense_gen1_matched_filter(const Gen1Config& config, const Gen
   Rng unused(0);
   (void)sampler.sample_interleaved_to(filtered.data(), n, rx.sample_rate(), skews, unused,
                                       sampled.data());
-  for (float& v : sampled) v *= static_cast<float>(0.25 / r);
+  for (float& v : sampled) v *= static_cast<float>(0.25 / std::sqrt(setpoint));
   std::vector<float> levels(sampled.size());
   adc.reset();
   adc.convert_block(sampled.data(), sampled.size(), levels.data());
@@ -395,25 +391,33 @@ std::vector<float> dense_gen1_matched_filter(const Gen1Config& config, const Gen
 }
 
 TEST(Gen1Receiver, GenieDespreadEqualsHandDespreadOfDenseMatchedFilter) {
-  // A genie receive digitizes only the windows its despreader reads; its
-  // decisions and soft sums must be those of the whole-capture matched
-  // filter, including bits whose last pulses fall past a cut capture, and
-  // on frames shorter than a window, where windows would overlap.
+  // A genie receive reads only the capture segments under the windows its
+  // despreader reads; cut from one dense capture, at the same AGC setpoint,
+  // its decisions and soft sums must be those of the whole-capture matched
+  // filter, including bits whose last pulses fall past a cut capture. The
+  // 648-sample frame gets one segment per window; 40-sample frames put
+  // windows close enough that their segments merge; on 8-sample frames
+  // the windows would overlap, so the receiver plans the whole capture.
   Gen1Config short_frames = sim::gen1_fast();
   short_frames.frame_samples_adc = 8;
-  for (const Gen1Config& config : {sim::gen1_fast(), short_frames}) {
+  Gen1Config close_frames = sim::gen1_fast();
+  close_frames.frame_samples_adc = 40;
+  for (const Gen1Config& config : {sim::gen1_fast(), close_frames, short_frames}) {
     SCOPED_TRACE(config.frame_samples_adc);
     const Gen1Transmitter tx(config);
     Rng rng(0x6E1);
-    auto [wave, frame] = tx.transmit(rng.bits(32));
+    const BitVec payload = rng.bits(32);
+    auto [wave, frame] = tx.transmit(payload);
     const std::size_t delay_frames = 5;
     wave.delay_samples(delay_frames * config.frame_samples_analog());
     wave.pad(static_cast<std::size_t>(64e-9 * config.analog_fs));
-    channel::add_awgn(wave, channel::n0_for_ebn0(frame.energy_per_bit, 3.0), rng);
+    const double n0 = channel::n0_for_ebn0(frame.energy_per_bit, 3.0);
+    channel::add_awgn(wave, n0, rng);
     const std::size_t cut_frames = 40;  // two and a half bits
     RealVec cut(wave.samples().begin(),
                 wave.samples().end() -
                     static_cast<std::ptrdiff_t>(cut_frames * config.frame_samples_analog()));
+    const std::vector<double> amplitudes = tx.transmit_train(payload).amplitudes;
 
     for (const RealWaveform& rx : {wave, RealWaveform(cut, wave.sample_rate())}) {
       Rng mismatch(0xAD);
@@ -421,10 +425,27 @@ TEST(Gen1Receiver, GenieDespreadEqualsHandDespreadOfDenseMatchedFilter) {
       Gen1RxOptions options;
       options.genie_timing = true;
       options.genie_offset = delay_frames * config.frame_samples_adc;
+      const double setpoint =
+          receiver.agc_setpoint(amplitudes, tx.prototype().samples(), 0.5 * n0, rx.size());
+      const std::size_t demanded = frame.frame_bits.size() * 16;
+      const std::span<const CaptureSegment> segments = receiver.plan_capture(
+          rx.size(), rx.sample_rate(), tx, frame.frame_bits.size(), options);
+      if (config.frame_samples_adc == 8) {
+        ASSERT_EQ(segments.size(), 1u);
+        EXPECT_EQ(segments[0].begin, 0u);
+        EXPECT_EQ(segments[0].end, rx.size());
+      } else if (config.frame_samples_adc == 40) {
+        EXPECT_LT(segments.size(), demanded / 2) << "no segments merged";
+      } else {
+        std::size_t covered = 0;
+        for (const CaptureSegment& seg : segments) covered += seg.size();
+        EXPECT_LT(covered, rx.size() / 10);
+        EXPECT_GT(segments.size(), demanded / 2);
+      }
       Rng rx_rng(1);
-      const Gen1RxResult got = receiver.receive(rx, tx, frame, options, rx_rng);
+      const Gen1RxResult got = receiver.receive(rx, tx, frame, options, setpoint, rx_rng);
 
-      const std::vector<float> mf = dense_gen1_matched_filter(config, tx, rx, 0xAD);
+      const std::vector<float> mf = dense_gen1_matched_filter(config, tx, rx, 0xAD, setpoint);
       const std::size_t F = config.frame_samples_adc;
       const auto ppb = static_cast<std::size_t>(config.pulses_per_bit);
       const std::vector<double>& spread = tx.spread_chips();
@@ -454,6 +475,88 @@ TEST(Gen1Receiver, GenieDespreadEqualsHandDespreadOfDenseMatchedFilter) {
       }
     }
   }
+}
+
+/// A gen-1 train through \p kernel, scattered densely in double, and the
+/// energy of its full convolution with the anti-alias filter.
+double dense_filtered_energy(const Gen1Config& config, const std::vector<double>& amplitudes,
+                             const RealVec& kernel) {
+  const std::size_t F = config.frame_samples_analog();
+  RealVec x(F * amplitudes.size() + kernel.size(), 0.0);
+  for (std::size_t s = 0; s < amplitudes.size(); ++s) {
+    for (std::size_t i = 0; i < kernel.size(); ++i) x[s * F + i] += amplitudes[s] * kernel[i];
+  }
+  const RealVec z = dsp::convolve(x, gen1_anti_alias(config));
+  double energy = 0.0;
+  for (const double v : z) energy += v * v;
+  return energy;
+}
+
+TEST(Gen1Receiver, AgcSetpointSignalTermIsTheFilteredTrainEnergy) {
+  // Noiseless, the setpoint times the capture length is sum_m c_m R_q(m F):
+  // the energy of the filtered train, slot overlaps included. A CM4
+  // composite kernel outlasts the 300-sample frame, so there adjacent slots
+  // overlap.
+  Gen1Config short_frames = sim::gen1_fast();
+  short_frames.frame_samples_adc = 300;
+  Rng rng(0x5E7);
+  channel::SvParams cm4 = channel::cm_by_index(4);
+  cm4.complex_phases = false;
+  const CplxVec h = channel::SalehValenzuela(cm4).realize(rng).sampled(4e9);
+  RealVec hr(h.size());
+  for (std::size_t i = 0; i < h.size(); ++i) hr[i] = h[i].real();
+  for (const Gen1Config& config : {sim::gen1_fast(), short_frames}) {
+    SCOPED_TRACE(config.frame_samples_adc);
+    const Gen1Transmitter tx(config);
+    const std::vector<double> amplitudes = tx.transmit_train(rng.bits(48)).amplitudes;
+    const RealVec cm4_kernel = dsp::convolve(tx.prototype().samples(), hr);
+    if (config.frame_samples_adc == 300) {
+      ASSERT_GT(cm4_kernel.size(), 2 * config.frame_samples_analog()) << "no slot overlap";
+    }
+    Rng mismatch(1);
+    const Gen1Receiver receiver(config, mismatch);
+    for (const RealVec& kernel : {tx.prototype().samples(), cm4_kernel}) {
+      const double expected = dense_filtered_energy(config, amplitudes, kernel);
+      const std::size_t n = 3'000'000;
+      const double modeled =
+          receiver.agc_setpoint(amplitudes, kernel, 0.0, n) * static_cast<double>(n);
+      EXPECT_NEAR(modeled / expected, 1.0, 1e-9) << "kernel of " << kernel.size() << " samples";
+    }
+  }
+}
+
+TEST(Gen1Receiver, AgcSetpointNoiseTermIsTheMeanFilteredNoisePower) {
+  // Noise only: the filtered power of FloatAwgn captures, averaged over 40
+  // seeds, must lie within 4 standard errors of the modeled term
+  // (two-sided coverage above 99.99% for a normal mean); the capture edges,
+  // where the filter runs partly outside, are included.
+  const Gen1Config config = sim::gen1_fast();
+  Rng mismatch(1);
+  const Gen1Receiver receiver(config, mismatch);
+  const RealVec h = gen1_anti_alias(config);
+  const std::size_t n = 20'000;
+  const double n0 = 0.37;
+  constexpr int kSeeds = 40;
+  std::vector<double> powers;
+  double noise_var = 0.0;
+  for (int seed = 0; seed < kSeeds; ++seed) {
+    Rng rng(1000 + static_cast<std::uint64_t>(seed));
+    std::vector<float> x(n, 0.0f);
+    channel::FloatAwgn noise(n0, rng);
+    noise.add(x.data(), n);
+    noise_var = noise.variance();
+    std::vector<float> y(n);
+    dsp::convolve_same_to(x.data(), n, h, y.data());
+    double p = 0.0;
+    for (const float v : y) p += static_cast<double>(v) * v;
+    powers.push_back(p / static_cast<double>(n));
+  }
+  double mean = 0.0;
+  for (const double p : powers) mean += p / kSeeds;
+  double var = 0.0;
+  for (const double p : powers) var += (p - mean) * (p - mean) / (kSeeds - 1);
+  const double modeled = receiver.agc_setpoint({}, {}, noise_var, n);
+  EXPECT_NEAR(mean, modeled, 4.0 * std::sqrt(var / kSeeds));
 }
 
 TEST(Gen1Receiver, AcquisitionFindsTiming) {
