@@ -118,7 +118,7 @@ class TapScratch {
 
  private:
   static constexpr std::size_t kStackTaps = 256;
-  T stack_[kStackTaps];  // only data_[0 .. n) is written and read
+  T stack_[kStackTaps] = {};
   std::vector<T> heap_;
   T* data_ = stack_;
 };

@@ -526,7 +526,8 @@ std::span<const float> Gen1Link::synthesize(std::span<const CaptureSegment> segm
         const std::size_t s_lo = seg.begin + 1 > delay_samples + g_len
                                      ? ceil_div(seg.begin + 1 - delay_samples - g_len, F)
                                      : 0;
-        const std::size_t s_hi = std::min(amplitudes.size(), (seg.end - 1 - delay_samples) / F + 1);
+        const std::size_t s_hi =
+            std::min(amplitudes.size(), (seg.end - 1 - delay_samples) / F + 1);
         for (std::size_t s = s_lo; s < s_hi; ++s) {
           const auto a = static_cast<float>(amplitudes[s]);
           const std::size_t p = delay_samples + s * F;
@@ -727,7 +728,7 @@ Gen1TrialResult Gen1Link::run_packet_full(const TrialOptions& options, Rng& rng,
       {
         const obs::StageTimer timer(obs::Stage::kChannelConvolve);
         cir = resolve_gen1_cir(options, context, rng);
-        composite_kernel(cir);
+        g_exact = composite_kernel(cir);
       }
       rx_wave = apply_gen1_channel_sparse(
           capture.train.amplitudes, config_.frame_samples_analog(),
@@ -735,8 +736,8 @@ Gen1TrialResult Gen1Link::run_packet_full(const TrialOptions& options, Rng& rng,
           config_.analog_fs);
     } else {
       rx_wave = apply_gen1_channel(std::move(capture.wave), options, context, &cir, rng);
+      if (options.cm >= 1) g_exact = composite_kernel(cir);
     }
-    if (options.cm >= 1) g_exact = composite_kernel(cir);
     rx_wave.pad(static_cast<std::size_t>(64e-9 * config_.analog_fs));
 
     // Importance sampling: the target data bit's received contribution is

@@ -135,7 +135,9 @@ double Gen1Receiver::agc_setpoint(std::span<const double> amplitudes,
       double r = 0.0;
       for (std::size_t k = 0; k + m * F < ws_q_.size(); ++k) r += ws_q_[k] * ws_q_[k + m * F];
       double c = 0.0;
-      for (std::size_t s = 0; s + m < amplitudes.size(); ++s) c += amplitudes[s] * amplitudes[s + m];
+      for (std::size_t s = 0; s + m < amplitudes.size(); ++s) {
+        c += amplitudes[s] * amplitudes[s + m];
+      }
       signal += (m == 0 ? c : 2.0 * c) * r;
     }
   }
