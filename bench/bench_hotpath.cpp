@@ -1,13 +1,16 @@
 // Hot-path throughput bench: end-to-end packets/sec for gen-1 and gen-2
-// link trials across CM0-CM4, measured twice from the same binary -- once
-// with the direct O(N*M) convolution kernels (the pre-fast-path baseline,
-// via dsp::set_fast_convolve_enabled(false)) and once with the overlap-save
-// FFT dispatch enabled. Both numbers land in bench/results/BENCH_hotpath.json
+// link trials across CM0-CM4, measured twice from the same binary. Gen-2
+// runs its link once with the direct O(N*M) convolution kernels (the
+// pre-fast-path baseline, via dsp::set_fast_convolve_enabled(false)) and
+// once with the overlap-save FFT dispatch enabled. Gen-1's baseline is the
+// dense double-precision reference trial of tests/gen1_reference.h on the
+// direct kernels -- the whole-capture path the link ran before it
+// synthesized only the planned segments in float -- and its fast number is
+// the link itself. Both numbers land in bench/results/BENCH_hotpath.json
 // so the speedup trajectory accumulates PR over PR (CI runs this in fast
 // mode and uploads the JSON as an artifact).
 //
-// Both passes replay identical trial streams (Rng forks of the same root),
-// so the packets differ only in which convolution kernel executed.
+// Both passes replay identical trial streams (Rng forks of the same root).
 
 #include <cctype>
 #include <chrono>
@@ -19,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "../tests/gen1_reference.h"
 #include "bench_util.h"
 #include "dsp/fast_convolve.h"
 #include "io/json.h"
@@ -85,9 +89,10 @@ HotpathRow measure_gen1(int cm, std::size_t trials, uint64_t seed) {
 
   HotpathRow row{"gen1", channel_name(cm), trials, 0.0, 0.0};
   auto trial = [&](Rng& rng) { (void)link.run_packet(options, rng); };
+  auto reference = [&](Rng& rng) { (void)reference::gen1_reference_packet(link, options, rng); };
   {
     const dsp::FastConvolveGuard direct(false);
-    row.baseline_pps = packets_per_sec(trials, seed, trial);
+    row.baseline_pps = packets_per_sec(trials, seed, reference);
   }
   {
     const dsp::FastConvolveGuard fast(true);

@@ -7,7 +7,6 @@
 #include "channel/interferer.h"
 #include "common/error.h"
 #include "common/math_utils.h"
-#include "dsp/fast_convolve.h"
 #include "dsp/fir_filter.h"
 #include "fec/viterbi_decoder.h"
 #include "obs/profile.h"
@@ -108,16 +107,16 @@ double sampling_scale_or_throw(const TrialOptions& options, const TrialContext& 
   return context.noise_scale;
 }
 
-double real_dot(double a, double b) { return a * b; }
+double real_dot(float a, float b) { return static_cast<double>(a) * b; }
 double real_dot(const cplx& a, const cplx& b) {
   return a.real() * b.real() + a.imag() * b.imag();  // Re(a * conj(b))
 }
 
 /// The one-dimensional subspace the noise tilt rides along: the target
 /// bit's received-signal direction (unit energy) and where it lands in the
-/// rx waveform. usable is false on a zero-energy span (e.g. the bit's whole
-/// contribution fell off the end of the wave): the trial then runs at the
-/// nominal distribution with weight exactly 1.
+/// samples the receiver reads. usable is false on a zero-energy span (e.g.
+/// the bit's whole contribution fell off the end of the capture): the trial
+/// then runs at the nominal distribution with weight exactly 1.
 template <typename T>
 struct TiltDirection {
   std::vector<T> unit;
@@ -125,18 +124,20 @@ struct TiltDirection {
   bool usable = false;
 };
 
+/// The direction of \p shape, which lands at wave[offset ...] of a
+/// \p wave_size-sample wave, cut at the wave's end.
 template <typename T>
-TiltDirection<T> make_tilt_direction(std::vector<T> shape, std::size_t offset,
+TiltDirection<T> make_tilt_direction(std::span<const T> shape, std::size_t offset,
                                      std::size_t wave_size) {
   TiltDirection<T> dir;
   if (offset >= wave_size) return dir;
-  if (shape.size() > wave_size - offset) shape.resize(wave_size - offset);
+  shape = shape.first(std::min(shape.size(), wave_size - offset));
   double energy = 0.0;
   for (const T& s : shape) energy += real_dot(s, s);
   if (!(energy > 0.0)) return dir;
   const double inv = 1.0 / std::sqrt(energy);
-  for (T& s : shape) s *= inv;
-  dir.unit = std::move(shape);
+  dir.unit.resize(shape.size());
+  for (std::size_t i = 0; i < shape.size(); ++i) dir.unit[i] = static_cast<T>(shape[i] * inv);
   dir.offset = offset;
   dir.usable = true;
   return dir;
@@ -153,9 +154,9 @@ TiltDirection<T> make_tilt_direction(std::vector<T> shape, std::size_t offset,
 /// direction measurable. Always consumes one Gaussian draw so the trial's
 /// draw count does not depend on the scale or on channel luck.
 template <typename T>
-double apply_noise_tilt(Waveform<T>& wave, const std::vector<T>& clean,
-                        const TiltDirection<T>& dir, double sigma2,
-                        const stats::SamplingPolicy& policy, double scale, Rng& rng) {
+double apply_noise_tilt(std::span<T> wave, std::span<const T> clean, const TiltDirection<T>& dir,
+                        double sigma2, const stats::SamplingPolicy& policy, double scale,
+                        Rng& rng) {
   if (!dir.usable) {
     rng.gaussian(0.0, 0.0);
     return 0.0;
@@ -167,7 +168,7 @@ double apply_noise_tilt(Waveform<T>& wave, const std::vector<T>& clean,
   const double extra = rng.gaussian(0.0, stats::tilt_extra_stddev(sigma2, scale));
   if (extra != 0.0) {
     for (std::size_t i = 0; i < dir.unit.size(); ++i) {
-      wave[dir.offset + i] += extra * dir.unit[i];
+      wave[dir.offset + i] += static_cast<T>(extra * dir.unit[i]);
     }
   }
   return stats::mixture_log_weight(z + extra, sigma2, stats::sampling_ladder(policy));
@@ -375,7 +376,7 @@ Gen2TrialResult Gen2Link::run_packet_full(const TrialOptions& options, Rng& rng,
     }
     const std::size_t bit_offset =
         delay + (frame.overhead_symbols + target_bit) * frame.samples_per_bit;
-    tilt = make_tilt_direction<cplx>(std::move(shape), bit_offset, rx_wave.size());
+    tilt = make_tilt_direction<cplx>(shape, bit_offset, rx_wave.size());
   }
 
   // Interference.
@@ -400,8 +401,8 @@ Gen2TrialResult Gen2Link::run_packet_full(const TrialOptions& options, Rng& rng,
     }
     channel::add_awgn(rx_wave, n0, rng);
     if (tilt_active) {
-      log_weight = apply_noise_tilt(rx_wave, clean, tilt, 0.5 * n0, options.sampling,
-                                    context.noise_scale, rng);
+      log_weight = apply_noise_tilt<cplx>(rx_wave.samples(), clean, tilt, 0.5 * n0,
+                                          options.sampling, context.noise_scale, rng);
     }
   }
 
@@ -505,50 +506,38 @@ const dsp::AlignedVec<float>& Gen1Link::prototype_f() {
   return proto_f_;
 }
 
-std::span<const float> Gen1Link::synthesize(std::span<const CaptureSegment> segments,
-                                            const std::vector<double>& amplitudes,
-                                            std::size_t delay_samples,
-                                            const dsp::AlignedVec<float>& kernel,
-                                            channel::FloatAwgn& noise) {
+void Gen1Link::synthesize(std::span<const CaptureSegment> segments,
+                          const std::vector<double>& amplitudes, std::size_t delay_samples,
+                          const dsp::AlignedVec<float>& kernel) {
   std::size_t total = 0;
   for (const CaptureSegment& seg : segments) total += seg.size();
-  {
-    // Slot s adds a_s * g over [delay + s F, delay + s F + |g|); each
-    // segment sums the slots that meet it in ascending order, as a scatter
-    // over the whole capture would.
-    const obs::StageTimer timer(obs::Stage::kChannelConvolve, total);
-    input_.assign_zero(total);
-    const std::size_t F = config_.frame_samples_analog();
-    const std::size_t g_len = kernel.size();
-    float* out = input_.data();
-    for (const CaptureSegment& seg : segments) {
-      if (g_len > 0 && seg.end > delay_samples) {
-        const std::size_t s_lo = seg.begin + 1 > delay_samples + g_len
-                                     ? ceil_div(seg.begin + 1 - delay_samples - g_len, F)
-                                     : 0;
-        const std::size_t s_hi =
-            std::min(amplitudes.size(), (seg.end - 1 - delay_samples) / F + 1);
-        for (std::size_t s = s_lo; s < s_hi; ++s) {
-          const auto a = static_cast<float>(amplitudes[s]);
-          const std::size_t p = delay_samples + s * F;
-          const std::size_t i0 = std::max(p, seg.begin);
-          const std::size_t i1 = std::min(p + g_len, seg.end);
-          float* dst = out + (i0 - seg.begin);
-          const float* src = kernel.data() + (i0 - p);
-          for (std::size_t i = 0; i < i1 - i0; ++i) dst[i] += a * src[i];
-        }
-      }
-      out += seg.size();
-    }
-  }
-  // One noise stream across the segments, in ascending sample order.
-  const obs::StageTimer timer(obs::Stage::kChannelNoise, total);
+  // Slot s adds a_s * g over [delay + s F, delay + s F + |g|); each segment
+  // sums the slots that meet it in ascending order, as a scatter over the
+  // whole capture would.
+  const obs::StageTimer timer(obs::Stage::kChannelConvolve, total);
+  input_.assign_zero(total);
+  const std::size_t F = config_.frame_samples_analog();
+  const std::size_t g_len = kernel.size();
   float* out = input_.data();
   for (const CaptureSegment& seg : segments) {
-    noise.add(out, seg.size());
+    if (g_len > 0 && seg.end > delay_samples) {
+      const std::size_t s_lo = seg.begin + 1 > delay_samples + g_len
+                                   ? ceil_div(seg.begin + 1 - delay_samples - g_len, F)
+                                   : 0;
+      const std::size_t s_hi =
+          std::min(amplitudes.size(), (seg.end - 1 - delay_samples) / F + 1);
+      for (std::size_t s = s_lo; s < s_hi; ++s) {
+        const auto a = static_cast<float>(amplitudes[s]);
+        const std::size_t p = delay_samples + s * F;
+        const std::size_t i0 = std::max(p, seg.begin);
+        const std::size_t i1 = std::min(p + g_len, seg.end);
+        float* dst = out + (i0 - seg.begin);
+        const float* src = kernel.data() + (i0 - p);
+        for (std::size_t i = 0; i < i1 - i0; ++i) dst[i] += a * src[i];
+      }
+    }
     out += seg.size();
   }
-  return {input_.data(), total};
 }
 
 namespace {
@@ -565,43 +554,25 @@ channel::Cir resolve_gen1_cir(const TrialOptions& options, const TrialContext& c
   return channel::SalehValenzuela(params).realize(rng);
 }
 
-RealWaveform apply_gen1_channel(RealWaveform wave, const TrialOptions& options,
-                                const TrialContext& context, channel::Cir* out_cir,
-                                Rng& rng) {
-  if (options.cm >= 1) {
-    obs::StageTimer ch_timer(obs::Stage::kChannelConvolve);
-    const channel::Cir cir = resolve_gen1_cir(options, context, rng);
-    if (out_cir != nullptr) *out_cir = cir;
-    RealWaveform out = cir.apply_real(wave);
-    ch_timer.add_samples(out.size());
-    ch_timer.finish();
-    return out;
+/// The gen-1 tilt direction: a data bit's pulses_per_bit spread-scrambled
+/// pulses through the composite kernel \p g, landed at capture sample
+/// \p offset, restricted to the planned \p segments -- noise outside them
+/// is never read, so tilting it would change nothing the weight accounts
+/// for -- and renormalized there. Packed like the segments.
+TiltDirection<float> gen1_tilt_direction(const Gen1Transmitter& tx, std::span<const float> g,
+                                         std::size_t offset,
+                                         std::span<const CaptureSegment> segments,
+                                         std::size_t packed_size) {
+  const std::vector<double>& spread = tx.spread_chips();
+  const std::size_t F = tx.config().frame_samples_analog();
+  const auto ppb = static_cast<std::size_t>(tx.config().pulses_per_bit);
+  std::vector<float> shape((ppb - 1) * F + g.size(), 0.0f);
+  for (std::size_t k = 0; k < ppb; ++k) {
+    const auto chip = static_cast<float>(spread[k % spread.size()]);
+    for (std::size_t i = 0; i < g.size(); ++i) shape[k * F + i] += chip * g[i];
   }
-  if (out_cir != nullptr) *out_cir = channel::identity_cir();
-  return wave;
-}
-
-/// Sparse-train channel apply: y[n] = sum_k a_k * g[n - delay - k*frame].
-/// Mathematically identical to convolving the dense train with the CIR
-/// (convolution distributes over the slot sum); the output length matches
-/// the dense path exactly: delay + frame*slots + |prototype| + |h| - 1
-/// == delay + frame*slots + |g|.
-RealWaveform apply_gen1_channel_sparse(const std::vector<double>& amplitudes,
-                                       std::size_t frame_samples,
-                                       std::size_t delay_samples, const RealVec& g,
-                                       double fs) {
-  const std::size_t out_len =
-      delay_samples + frame_samples * amplitudes.size() + g.size();
-  const obs::StageTimer timer(obs::Stage::kChannelConvolve, out_len);
-  RealVec y(out_len, 0.0);
-  const std::size_t g_len = g.size();
-  const double* src = g.data();
-  for (std::size_t s = 0; s < amplitudes.size(); ++s) {
-    const double a = amplitudes[s];
-    double* dst = y.data() + delay_samples + s * frame_samples;
-    for (std::size_t i = 0; i < g_len; ++i) dst[i] += a * src[i];
-  }
-  return {std::move(y), fs};
+  const PackedRun run = pack_run(shape, offset, segments);
+  return make_tilt_direction<float>(run.samples, run.offset, packed_size);
 }
 
 }  // namespace
@@ -634,30 +605,28 @@ TrialResult Gen1Link::run_packet(const TrialOptions& options, Rng& rng,
   return out;
 }
 
-Gen1Link::Capture Gen1Link::transmit(const TrialOptions& options, bool dense, Rng& rng) {
+Gen1Link::Capture Gen1Link::transmit(const TrialOptions& options, Rng& rng) {
   const BitVec payload = rng.bits(options.payload_bits);
   Capture capture;
   {
     obs::StageTimer tx_timer(obs::Stage::kTxModulate);
     capture.train = tx_.transmit_train(payload);
     capture.frame = std::move(capture.train.frame);
-    if (dense) capture.wave = tx_.waveform(capture.train.amplitudes);
-    tx_timer.add_samples(dense ? capture.wave.size() : capture.train.amplitudes.size());
+    tx_timer.add_samples(capture.train.amplitudes.size());
   }
   if (options.start_delay_max_frames > 0) {
     capture.delay_frames = static_cast<std::size_t>(
         rng.uniform_int(0, static_cast<int>(options.start_delay_max_frames)));
-    if (dense) capture.wave.delay_samples(capture.delay_frames * config_.frame_samples_analog());
   }
   capture.n0 = channel::n0_for_ebn0(capture.frame.energy_per_bit, options.ebn0_db);
   return capture;
 }
 
-std::span<const float> Gen1Link::synthesize_planned(const Capture& capture,
-                                                    const TrialOptions& options,
-                                                    const TrialContext& context,
-                                                    const Gen1RxOptions& rx_opts, Rng& rng,
-                                                    double& agc_setpoint) {
+Gen1Link::Planned Gen1Link::synthesize_planned(const Capture& capture,
+                                               const TrialOptions& options,
+                                               const TrialContext& context,
+                                               const Gen1RxOptions& rx_opts,
+                                               std::optional<std::size_t> tilt_bit, Rng& rng) {
   const dsp::AlignedVec<float>* g = &prototype_f();
   std::span<const double> g_exact = tx_.prototype().samples();
   if (options.cm >= 1) {
@@ -667,17 +636,54 @@ std::span<const float> Gen1Link::synthesize_planned(const Capture& capture,
     g = &g_kernel_f_;
   }
   channel::FloatAwgn noise(capture.n0, rng);
-  // Tail pad so late fingers stay in range (the dense path's rx_wave.pad).
+  // Tail pad so late fingers stay in range.
   const std::size_t F = config_.frame_samples_analog();
   const std::size_t delay_samples = capture.delay_frames * F;
   const std::size_t n = delay_samples + F * capture.train.amplitudes.size() + g->size() +
                         static_cast<std::size_t>(64e-9 * config_.analog_fs);
+  obs::StageTimer plan_timer(obs::Stage::kRxFrontend);
   const std::span<const CaptureSegment> segments = rx_.plan_capture(
       n, config_.analog_fs, tx_, capture.frame.frame_bits.size(), rx_opts);
-  const std::span<const float> input =
-      synthesize(segments, capture.train.amplitudes, delay_samples, *g, noise);
-  agc_setpoint = rx_.agc_setpoint(capture.train.amplitudes, g_exact, noise.variance(), n);
-  return input;
+  plan_timer.finish();
+  synthesize(segments, capture.train.amplitudes, delay_samples, *g);
+
+  const std::span<float> input(input_.data(), input_.size());
+  Planned planned;
+  planned.input = input;
+  obs::StageTimer noise_timer(obs::Stage::kChannelNoise, input.size());
+  // Importance sampling: the direction and the clean span under it are
+  // taken before any noise is drawn.
+  TiltDirection<float> tilt;
+  std::vector<float> clean;
+  if (tilt_bit.has_value()) {
+    const std::size_t bit_offset =
+        (capture.delay_frames + tx_.preamble_frames() +
+         *tilt_bit * static_cast<std::size_t>(config_.pulses_per_bit)) * F;
+    tilt = gen1_tilt_direction(tx_, *g, bit_offset, segments, input.size());
+    if (tilt.usable) {
+      const std::span<const float> under = input.subspan(tilt.offset, tilt.unit.size());
+      clean.assign(under.begin(), under.end());
+    }
+  }
+  // One noise stream across the segments, in ascending sample order.
+  float* out = input.data();
+  for (const CaptureSegment& seg : segments) {
+    noise.add(out, seg.size());
+    out += seg.size();
+  }
+  if (tilt_bit.has_value()) {
+    planned.log_weight = apply_noise_tilt<float>(input, clean, tilt, noise.variance(),
+                                                  options.sampling, context.noise_scale, rng);
+  }
+  noise_timer.finish();
+
+  // The setpoint leaves out the tilt's extra variance along one
+  // unit-energy direction: a share of about (scale^2 - 1) / n of the
+  // capture's noise power (docs/performance.md).
+  const obs::StageTimer agc_timer(obs::Stage::kRxFrontend);
+  planned.agc_setpoint =
+      rx_.agc_setpoint(capture.train.amplitudes, g_exact, noise.variance(), n);
+  return planned;
 }
 
 Gen1TrialResult Gen1Link::run_packet_full(const TrialOptions& options, Rng& rng,
@@ -685,26 +691,13 @@ Gen1TrialResult Gen1Link::run_packet_full(const TrialOptions& options, Rng& rng,
   require_supported(caps_, options);
   Gen1TrialResult trial;
 
-  // With the fast-convolve policy on, the dense ~98%-zeros waveform is
-  // never synthesized: the transmitter emits per-frame amplitudes, and the
-  // link synthesizes only the capture segments the receiver will read
-  // (with genie timing, ~7% of the capture around the data section's
-  // pulse phase), landing the channel (identity for AWGN-only trials) as
-  // shift-adds of the composite kernel plus single-precision noise.
-  // Importance-sampled trials stay on the double-waveform path: the tilt
-  // machinery snapshots and re-projects the waveform around the noise
-  // draw; the receiver then reads the same segments of it. The Rng draw
-  // order (payload bits, delay, fresh-realization draws, then noise) is
-  // shared by every path, so the pre-noise signal is the same experiment
-  // under any policy; the float path's noise realization differs by design
-  // (it runs the dedicated single-precision sampler, see channel/awgn.h).
-  // Every path sets the AGC from Gen1Receiver::agc_setpoint.
-  const bool tilt_active = options.sampling.active();
-  const bool float_path = dsp::fast_convolve_enabled() && !tilt_active;
-  const bool sparse_channel =
-      !float_path && options.cm >= 1 && dsp::fast_convolve_enabled();
-
-  Capture capture = transmit(options, !float_path && !sparse_channel, rng);
+  // The dense ~98%-zeros waveform is never synthesized: the transmitter
+  // emits per-frame amplitudes, and the link synthesizes only the capture
+  // segments the receiver will read (with genie timing, ~7% of the capture
+  // around the data section's pulse phase), landing the channel (identity
+  // for AWGN-only trials) as shift-adds of the composite kernel plus
+  // single-precision noise.
+  const Capture capture = transmit(options, rng);
   const TxFrame& frame = capture.frame;
   trial.true_offset_adc = capture.delay_frames * config_.frame_samples_adc;
 
@@ -712,84 +705,15 @@ Gen1TrialResult Gen1Link::run_packet_full(const TrialOptions& options, Rng& rng,
   rx_opts.genie_timing = options.genie_timing;
   rx_opts.genie_offset = trial.true_offset_adc;
 
-  double log_weight = 0.0;
-  std::size_t target_bit = 0;
-  if (float_path) {
-    double setpoint = 0.0;
-    const std::span<const float> input =
-        synthesize_planned(capture, options, context, rx_opts, rng, setpoint);
-    trial.rx = rx_.receive(input, tx_, frame, rx_opts, setpoint, rng);
-  } else {
-    const double n0 = capture.n0;
-    channel::Cir cir = channel::identity_cir();
-    RealWaveform rx_wave;
-    std::span<const double> g_exact = tx_.prototype().samples();
-    if (sparse_channel) {
-      {
-        const obs::StageTimer timer(obs::Stage::kChannelConvolve);
-        cir = resolve_gen1_cir(options, context, rng);
-        g_exact = composite_kernel(cir);
-      }
-      rx_wave = apply_gen1_channel_sparse(
-          capture.train.amplitudes, config_.frame_samples_analog(),
-          capture.delay_frames * config_.frame_samples_analog(), g_kernel_,
-          config_.analog_fs);
-    } else {
-      rx_wave = apply_gen1_channel(std::move(capture.wave), options, context, &cir, rng);
-      if (options.cm >= 1) g_exact = composite_kernel(cir);
-    }
-    rx_wave.pad(static_cast<std::size_t>(64e-9 * config_.analog_fs));
-
-    // Importance sampling: the target data bit's received contribution is
-    // its pulses_per_bit spread-scrambled pulses through the same channel
-    // realization, landed after the preamble and the start delay.
-    TiltDirection<double> tilt;
-    if (tilt_active) {
-      (void)sampling_scale_or_throw(options, context);
-      target_bit = context.sampling_trial % frame.frame_bits.size();
-      const RealWaveform& proto = tx_.prototype();
-      const std::vector<double>& spread = tx_.spread_chips();
-      const std::size_t frame_samples = config_.frame_samples_analog();
-      const auto ppb = static_cast<std::size_t>(config_.pulses_per_bit);
-      std::vector<double> shape((ppb - 1) * frame_samples + proto.size(), 0.0);
-      for (std::size_t k = 0; k < ppb; ++k) {
-        const double chip = spread[k % spread.size()];
-        for (std::size_t i = 0; i < proto.size(); ++i) {
-          shape[k * frame_samples + i] += chip * proto[i];
-        }
-      }
-      if (options.cm >= 1) {
-        const RealWaveform filtered =
-            cir.apply_real(RealWaveform(std::move(shape), config_.analog_fs));
-        shape = filtered.samples();
-      }
-      const std::size_t bit_offset =
-          (capture.delay_frames + tx_.preamble_frames() + target_bit * ppb) * frame_samples;
-      tilt = make_tilt_direction<double>(std::move(shape), bit_offset, rx_wave.size());
-    }
-
-    {
-      std::vector<double> clean;
-      if (tilt_active && tilt.usable) {
-        const auto first = static_cast<std::ptrdiff_t>(tilt.offset);
-        clean.assign(rx_wave.samples().begin() + first,
-                     rx_wave.samples().begin() + first +
-                         static_cast<std::ptrdiff_t>(tilt.unit.size()));
-      }
-      channel::add_awgn(rx_wave, n0, rng);
-      if (tilt_active) {
-        log_weight = apply_noise_tilt(rx_wave, clean, tilt, 0.5 * n0, options.sampling,
-                                      context.noise_scale, rng);
-      }
-    }
-
-    // The setpoint leaves out the tilt's extra variance along one
-    // unit-energy direction: a share of about (scale^2 - 1) / n of the
-    // capture's noise power (docs/performance.md).
-    const double setpoint =
-        rx_.agc_setpoint(capture.train.amplitudes, g_exact, 0.5 * n0, rx_wave.size());
-    trial.rx = rx_.receive(rx_wave, tx_, frame, rx_opts, setpoint, rng);
+  // Importance sampling: the target data bit is stratified by the global
+  // trial index, so the choice is independent of worker count and shards.
+  std::optional<std::size_t> target_bit;
+  if (options.sampling.active()) {
+    (void)sampling_scale_or_throw(options, context);
+    target_bit = context.sampling_trial % frame.frame_bits.size();
   }
+  const Planned planned = synthesize_planned(capture, options, context, rx_opts, target_bit, rng);
+  trial.rx = rx_.receive(planned.input, tx_, frame, rx_opts, planned.agc_setpoint, rng);
   trial.bits = trial.rx.bits_compared;
   trial.errors = trial.rx.bit_errors;
   if (!options.genie_timing && !trial.rx.acq.acquired) {
@@ -797,14 +721,14 @@ Gen1TrialResult Gen1Link::run_packet_full(const TrialOptions& options, Rng& rng,
     trial.errors = frame.frame_bits.size();
   }
 
-  if (tilt_active) {
+  if (target_bit.has_value()) {
     trial.weighted = true;
-    trial.is_llr = log_weight;
+    trial.is_llr = planned.log_weight;
     std::size_t err = 1;  // lost packet: the target bit errored with the rest
     if ((options.genie_timing || trial.rx.acq.acquired) &&
-        target_bit < trial.rx.data_bits.size()) {
-      const bool tx_bit = frame.frame_bits[target_bit] != 0;
-      err = ((trial.rx.data_bits[target_bit] != 0) != tx_bit) ? 1 : 0;
+        *target_bit < trial.rx.data_bits.size()) {
+      const bool tx_bit = frame.frame_bits[*target_bit] != 0;
+      err = ((trial.rx.data_bits[*target_bit] != 0) != tx_bit) ? 1 : 0;
     }
     trial.bits = 1;
     trial.errors = err;
@@ -823,29 +747,13 @@ Gen1Link::AcqTrial Gen1Link::run_acquisition(const TrialOptions& options, Rng& r
   require_supported(caps_, options);
   AcqTrial out;
 
-  // Same path split as run_packet_full (acquisition trials never tilt);
+  // The same synthesis as a packet trial (acquisition trials never tilt);
   // the receiver plans the whole capture.
-  const bool float_path = dsp::fast_convolve_enabled();
-  Capture capture = transmit(options, !float_path, rng);
+  const Capture capture = transmit(options, rng);
   const std::size_t true_offset = capture.delay_frames * config_.frame_samples_adc;
-
-  if (float_path) {
-    double setpoint = 0.0;
-    const std::span<const float> input =
-        synthesize_planned(capture, options, context, Gen1RxOptions{}, rng, setpoint);
-    out.acq = rx_.acquire(input, tx_, setpoint, rng);
-  } else {
-    channel::Cir cir = channel::identity_cir();
-    RealWaveform rx_wave = apply_gen1_channel(std::move(capture.wave), options, context, &cir, rng);
-    rx_wave.pad(static_cast<std::size_t>(64e-9 * config_.analog_fs));
-    channel::add_awgn(rx_wave, capture.n0, rng);
-    const std::span<const double> g_exact =
-        options.cm >= 1 ? std::span<const double>(composite_kernel(cir))
-                        : std::span<const double>(tx_.prototype().samples());
-    const double setpoint = rx_.agc_setpoint(capture.train.amplitudes, g_exact,
-                                             0.5 * capture.n0, rx_wave.size());
-    out.acq = rx_.acquire(rx_wave, tx_, setpoint, rng);
-  }
+  const Planned planned =
+      synthesize_planned(capture, options, context, Gen1RxOptions{}, std::nullopt, rng);
+  out.acq = rx_.acquire(planned.input, tx_, planned.agc_setpoint, rng);
   out.true_offset_adc = true_offset;
 
   // Compare timing modulo one PN period (the residual ambiguity the SFD

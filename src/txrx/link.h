@@ -376,7 +376,10 @@ struct Gen1TrialResult {
 
 /// The Section-2 baseband 193 kbps link. Same thread-safety contract as
 /// Gen2Link: one link per worker, per-trial randomness through the
-/// explicit-Rng overloads.
+/// explicit-Rng overloads. Every trial -- packet or acquisition, plain or
+/// importance-sampled -- synthesizes its capture one way: in single
+/// precision, on the segments its receiver reads (synthesize_planned). The
+/// dense double-precision trial is a test reference (tests/gen1_reference.h).
 class Gen1Link final : public Link {
  public:
   Gen1Link(const Gen1Config& config, uint64_t seed);
@@ -422,16 +425,22 @@ class Gen1Link final : public Link {
                                          std::size_t tol_samples,
                                          const TrialContext& context = TrialContext{});
 
+  /// The samples the last trial's receiver read: the segments
+  /// Gen1Receiver::plan_capture planned for it, packed back to back, signal,
+  /// noise and tilt included. Valid until the next trial.
+  [[nodiscard]] std::span<const float> last_capture() const noexcept {
+    return {input_.data(), input_.size()};
+  }
+
  private:
   /// The composite kernel g = pulse prototype convolved with the sampled
-  /// CIR, driving the sparse pulse-train channel path: the tx waveform is
-  /// a few monocycle samples per PRF frame, so the channel output is
-  /// sum_k a_k * g[n - k*frame] at ~2% of the dense convolution's cost.
-  /// Cached against the exact tap list: in ensemble mode every packet of a
-  /// sweep point shares one realization, so g is computed once per point.
-  /// g is a pure function of (taps, config) -- caching cannot change
-  /// results for any worker count or trial order. Rebuilds also refresh the
-  /// float mirror g_kernel_f_ that the single-precision synthesis reads.
+  /// CIR: the tx waveform is a few monocycle samples per PRF frame, so the
+  /// channel output is sum_k a_k * g[n - k*frame]. Cached against the exact
+  /// tap list: in ensemble mode every packet of a sweep point shares one
+  /// realization, so g is computed once per point. g is a pure function of
+  /// (taps, config) -- caching cannot change results for any worker count
+  /// or trial order. Rebuilds also refresh the float mirror g_kernel_f_
+  /// that the synthesis reads.
   const RealVec& composite_kernel(const channel::Cir& cir);
 
   /// Float mirror of the prototype pulse (the AWGN-only scatter kernel),
@@ -439,35 +448,39 @@ class Gen1Link final : public Link {
   const dsp::AlignedVec<float>& prototype_f();
 
   /// One trial's transmission before the channel: the train, its frame
-  /// bookkeeping, the start delay, N0, and -- for the double-waveform
-  /// paths -- the dense waveform, already delayed.
+  /// bookkeeping, the start delay and N0.
   struct Capture {
     Gen1Train train;
     TxFrame frame;
-    RealWaveform wave;
     std::size_t delay_frames = 0;
     double n0 = 0.0;
   };
 
-  /// Draws the payload and the start delay and frames the packet; builds
-  /// the dense waveform when \p dense.
-  Capture transmit(const TrialOptions& options, bool dense, Rng& rng);
+  /// Draws the payload and the start delay and frames the packet.
+  Capture transmit(const TrialOptions& options, Rng& rng);
 
-  /// The float path's capture: resolves the channel, plans the receiver's
-  /// segments for \p rx_opts, synthesizes them, and sets \p agc_setpoint.
-  std::span<const float> synthesize_planned(const Capture& capture, const TrialOptions& options,
-                                            const TrialContext& context,
-                                            const Gen1RxOptions& rx_opts, Rng& rng,
-                                            double& agc_setpoint);
+  /// A trial's capture as its receiver reads it, the AGC setpoint, and the
+  /// tilt's log-likelihood ratio (0 on an untilted trial).
+  struct Planned {
+    std::span<const float> input;
+    double agc_setpoint = 0.0;
+    double log_weight = 0.0;
+  };
 
-  /// The \p segments of a capture holding y[i] = sum_s a_s * g[i - delay -
-  /// s*frame] through \p kernel plus \p noise, packed back to back in
-  /// input_ (see Gen1Receiver::plan_capture). Returns the packed samples.
-  std::span<const float> synthesize(std::span<const CaptureSegment> segments,
-                                    const std::vector<double>& amplitudes,
-                                    std::size_t delay_samples,
-                                    const dsp::AlignedVec<float>& kernel,
-                                    channel::FloatAwgn& noise);
+  /// The one gen-1 synthesis, for packet and acquisition trials: resolves
+  /// the channel, plans the receiver's segments for \p rx_opts, synthesizes
+  /// signal and noise on them and -- when \p tilt_bit is set -- tilts the
+  /// noise along that data bit's received pulses inside the segments.
+  Planned synthesize_planned(const Capture& capture, const TrialOptions& options,
+                             const TrialContext& context, const Gen1RxOptions& rx_opts,
+                             std::optional<std::size_t> tilt_bit, Rng& rng);
+
+  /// The signal on \p segments of a capture holding y[i] = sum_s a_s * g[i -
+  /// delay - s*frame] through \p kernel, packed back to back in input_ (see
+  /// Gen1Receiver::plan_capture).
+  void synthesize(std::span<const CaptureSegment> segments,
+                  const std::vector<double>& amplitudes, std::size_t delay_samples,
+                  const dsp::AlignedVec<float>& kernel);
 
   Gen1Config config_;
   LinkCaps caps_;

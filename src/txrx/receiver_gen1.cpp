@@ -12,6 +12,23 @@
 
 namespace uwb::txrx {
 
+PackedRun pack_run(std::span<const float> x, std::size_t offset,
+                   std::span<const CaptureSegment> segments) {
+  PackedRun run;
+  std::size_t packed = 0;  // packed index of the segment's first sample
+  for (const CaptureSegment& seg : segments) {
+    const std::size_t lo = std::max(seg.begin, offset);
+    const std::size_t hi = std::min(seg.end, offset + x.size());
+    if (lo < hi) {
+      if (run.samples.empty()) run.offset = packed + (lo - seg.begin);
+      run.samples.insert(run.samples.end(), x.begin() + static_cast<std::ptrdiff_t>(lo - offset),
+                         x.begin() + static_cast<std::ptrdiff_t>(hi - offset));
+    }
+    packed += seg.size();
+  }
+  return run;
+}
+
 Gen1Receiver::Gen1Receiver(const Gen1Config& config, Rng& rng)
     : config_(config),
       sampler_(adc::SamplingParams{config.adc_rate, config.aperture_jitter_rms_s, 0.0}),
@@ -343,34 +360,11 @@ Gen1AcqResult Gen1Receiver::acquire_on_mf(std::span<const float> mf,
   return result;
 }
 
-std::span<const float> Gen1Receiver::pack_segments(const RealWaveform& rx) {
-  ws_rx_.resize(plan_input_);
-  const RealVec& s = rx.samples();
-  float* out = ws_rx_.data();
-  for (const CaptureSegment& seg : ws_segments_) {
-    for (std::size_t i = seg.begin; i < seg.end; ++i) *out++ = static_cast<float>(s[i]);
-  }
-  return {ws_rx_.data(), ws_rx_.size()};
-}
-
-Gen1AcqResult Gen1Receiver::acquire(const RealWaveform& rx, const Gen1Transmitter& tx,
-                                    double agc_setpoint, Rng& rng) {
-  (void)plan_capture(rx.size(), rx.sample_rate(), tx, 0, Gen1RxOptions{});
-  return acquire(pack_segments(rx), tx, agc_setpoint, rng);
-}
-
 Gen1AcqResult Gen1Receiver::acquire(std::span<const float> input, const Gen1Transmitter& tx,
                                     double agc_setpoint, Rng& rng) {
   detail::require(plan_demand_ == MfDemand{},
                   "Gen1Receiver::acquire: the plan does not cover the whole capture");
   return acquire_on_mf(digitize_and_filter(input, tx, agc_setpoint, rng).values, tx);
-}
-
-Gen1RxResult Gen1Receiver::receive(const RealWaveform& rx, const Gen1Transmitter& tx,
-                                   const TxFrame& tx_reference, const Gen1RxOptions& options,
-                                   double agc_setpoint, Rng& rng) {
-  (void)plan_capture(rx.size(), rx.sample_rate(), tx, tx_reference.frame_bits.size(), options);
-  return receive(pack_segments(rx), tx, tx_reference, options, agc_setpoint, rng);
 }
 
 Gen1RxResult Gen1Receiver::receive(std::span<const float> input, const Gen1Transmitter& tx,

@@ -26,7 +26,10 @@
 /// of the segment's samples, (index, lane) and the AGC gain, so every
 /// output keeps the bytes a whole-capture pass of the same input gives it.
 /// Acquisition, the SFD search and aperture jitter need every output: that
-/// demand is the single segment [0, n).
+/// demand is the single segment [0, n). The packed segments are the only
+/// input the receiver takes; the dense double-precision capture survives
+/// as a test reference (tests/gen1_reference.h), which packs the planned
+/// segments of its capture the same way.
 ///
 /// The AGC is modeled as a converged loop: its gain loads the flash at
 /// 1/4 full scale rms of the *expected* filtered power, agc_setpoint(),
@@ -36,12 +39,12 @@
 /// demand", for the derivation and its approximations.
 
 #include <span>
+#include <vector>
 
 #include "adc/flash_adc.h"
 #include "adc/sampling.h"
 #include "common/rng.h"
 #include "common/types.h"
-#include "common/waveform.h"
 #include "dsp/aligned.h"
 #include "txrx/transceiver_config.h"
 #include "txrx/transmitter.h"
@@ -55,6 +58,19 @@ struct CaptureSegment {
   std::size_t end = 0;
   [[nodiscard]] std::size_t size() const noexcept { return end - begin; }
 };
+
+/// The part of a stretch of capture that lies in the planned segments,
+/// packed as the segments' samples are. A stretch meets the segments in
+/// one run of the packing.
+struct PackedRun {
+  std::size_t offset = 0;       ///< packed index of samples[0]
+  std::vector<float> samples;   ///< empty when the stretch meets no segment
+};
+
+/// The samples of \p x, which spans capture samples [offset, offset +
+/// x.size()), that lie in the ascending, disjoint \p segments.
+[[nodiscard]] PackedRun pack_run(std::span<const float> x, std::size_t offset,
+                                 std::span<const CaptureSegment> segments);
 
 /// Gen-1 acquisition diagnostics.
 struct Gen1AcqResult {
@@ -124,20 +140,10 @@ class Gen1Receiver {
                                      const Gen1RxOptions& options, double agc_setpoint,
                                      Rng& rng);
 
-  /// receive() of a dense capture: plans it and reads the planned segments.
-  [[nodiscard]] Gen1RxResult receive(const RealWaveform& rx, const Gen1Transmitter& tx,
-                                     const TxFrame& tx_reference,
-                                     const Gen1RxOptions& options, double agc_setpoint,
-                                     Rng& rng);
-
   /// Acquisition only (bench E2/E11) of the whole capture planned by
   /// plan_capture() with default options: the capture must hold at least
   /// one PN period past the search uncertainty.
   [[nodiscard]] Gen1AcqResult acquire(std::span<const float> input, const Gen1Transmitter& tx,
-                                      double agc_setpoint, Rng& rng);
-
-  /// acquire() of a dense capture.
-  [[nodiscard]] Gen1AcqResult acquire(const RealWaveform& rx, const Gen1Transmitter& tx,
                                       double agc_setpoint, Rng& rng);
 
  private:
@@ -197,9 +203,6 @@ class Gen1Receiver {
                                            const Gen1Transmitter& tx, double agc_setpoint,
                                            Rng& rng);
 
-  /// Converts the planned segments of \p rx into ws_rx_, packed.
-  std::span<const float> pack_segments(const RealWaveform& rx);
-
   [[nodiscard]] Gen1AcqResult acquire_on_mf(std::span<const float> mf,
                                             const Gen1Transmitter& tx) const;
 
@@ -228,7 +231,6 @@ class Gen1Receiver {
   // the modeled front end is a 4-bit converter behind an AGC, so float's
   // 24-bit mantissa is ~20 bits beyond the physics while doubling SIMD
   // width through the filter/sampler/converter/matched-filter chain.
-  dsp::AlignedVec<float> ws_rx_;        ///< double->float segments for waveform callers
   dsp::AlignedVec<float> ws_filtered_;  ///< the runs' filtered samples, packed
   dsp::AlignedVec<float> ws_sampled_;   ///< the windows' samples, packed
   dsp::AlignedVec<float> ws_levels_;    ///< their converted levels, same packing

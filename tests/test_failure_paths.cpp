@@ -8,6 +8,7 @@
 #include "common/error.h"
 #include "common/rng.h"
 #include "estimation/channel_estimator.h"
+#include "gen1_reference.h"
 #include "sim/scenario.h"
 #include "txrx/link.h"
 
@@ -66,7 +67,7 @@ TEST(FailurePaths, Gen1TooShortCaptureReportsNoLock) {
 
   // A capture shorter than one stage-2 window cannot be searched.
   RealWaveform stub(RealVec(50000, 0.0), config.analog_fs);
-  const auto acq = receiver.acquire(stub, tx, 1.0, rng);
+  const auto acq = reference::acquire_dense(receiver, stub, tx, 1.0, rng);
   EXPECT_FALSE(acq.acquired);
 }
 

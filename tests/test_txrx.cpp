@@ -3,9 +3,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cfloat>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <limits>
+#include <optional>
 #include <span>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "adc/flash_adc.h"
@@ -20,7 +27,12 @@
 #include "dsp/filter_design.h"
 #include "dsp/fir_filter.h"
 #include "dsp/power_spectrum.h"
+#include "engine/scenario_registry.h"
+#include "engine/sinks.h"
+#include "engine/sweep_engine.h"
+#include "gen1_reference.h"
 #include "sim/scenario.h"
+#include "stats/sampling.h"
 #include "txrx/link.h"
 #include "txrx/power_model.h"
 #include "txrx/receiver_gen1.h"
@@ -144,40 +156,261 @@ TEST(Gen1Link, SparseChannelPathMatchesDenseConvolution) {
   }
 }
 
-TEST(Gen1Link, PacketOutcomeAgreesAcrossChannelPolicy) {
-  // End to end across the channel policy: the fast path runs the sparse
-  // scatter + single-precision arena, the direct path the dense double
-  // waveform. Their noise realizations differ by design (the float arena
-  // runs a dedicated single-precision sampler), so per-trial agreement at
-  // operating Eb/N0 is no longer defined. At 40 dB the noise is decades
-  // below every decision margin on both paths, so the bit decisions are a
-  // function of the pre-noise waveform alone -- which the two paths build
-  // equivalently (same trial Rng, same channel realization, float vs
-  // double rounding) -- and the error counts, channel-induced errors
-  // included, must match exactly. The waveform-level equivalence of the
-  // sparse channel math is pinned by SparseChannelPathMatchesDenseConvolution.
+TEST(Gen1Link, PacketOutcomeAgreesWithTheDenseReference) {
+  // End to end against the dense double reference: the link synthesizes
+  // the planned segments in float, the reference the whole capture in
+  // double. Their noise realizations differ by design (the link runs the
+  // single-precision sampler), so per-trial agreement at operating Eb/N0 is
+  // not defined. At 40 dB the noise is decades below every decision margin
+  // on both, so the bit decisions are a function of the pre-noise signal
+  // alone -- which both build from the same trial Rng and channel
+  // realization (float vs double rounding, see
+  // Gen1Reference.FloatSegmentsMatchTheDenseDoubleCapture) -- and the error
+  // counts, channel-induced errors included, must match exactly.
   const Gen1Config config = sim::gen1_fast();
   TrialOptions options = default_options(Generation::kGen1);
   options.cm = 3;
   options.ebn0_db = 40.0;
   for (uint64_t trial = 0; trial < 3; ++trial) {
-    Gen1Link fast_link(config, 99);
-    Gen1Link slow_link(config, 99);
-    Rng root(1234);
-    Rng rng_fast = root.fork(trial);
-    Rng rng_slow = root.fork(trial);
-    TrialResult fast, slow;
-    {
-      const dsp::FastConvolveGuard guard(true);
-      fast = fast_link.run_packet(options, rng_fast);
-    }
-    {
-      const dsp::FastConvolveGuard guard(false);
-      slow = slow_link.run_packet(options, rng_slow);
-    }
-    EXPECT_EQ(fast.bits, slow.bits) << "trial " << trial;
-    EXPECT_EQ(fast.errors, slow.errors) << "trial " << trial;
+    Gen1Link float_link(config, 99);
+    Gen1Link reference_link(config, 99);
+    const Rng root(1234);
+    Rng rng_float = root.fork(trial);
+    Rng rng_reference = root.fork(trial);
+    const TrialResult got = float_link.run_packet(options, rng_float);
+    const Gen1TrialResult want =
+        reference::gen1_reference_packet(reference_link, options, rng_reference);
+    EXPECT_EQ(got.bits, want.bits) << "trial " << trial;
+    EXPECT_EQ(got.errors, want.errors) << "trial " << trial;
   }
+}
+
+/// The packed index of capture sample \p i under \p segments, or -1 when
+/// no segment holds it.
+std::size_t packed_index(std::span<const CaptureSegment> segments, std::size_t i) {
+  std::size_t packed = 0;
+  for (const CaptureSegment& seg : segments) {
+    if (i >= seg.begin && i < seg.end) return packed + (i - seg.begin);
+    packed += seg.size();
+  }
+  return static_cast<std::size_t>(-1);
+}
+
+TEST(Gen1Reference, FloatSegmentsMatchTheDenseDoubleCapture) {
+  // The same (spec, seed) through the float link and the dense double
+  // reference, noiseless: Eb/N0 = +inf makes N0 exactly 0, so neither adds
+  // noise and the link's packed capture is its pre-noise signal.
+  const Gen1Config config = sim::gen1_fast();
+  const std::size_t F = config.frame_samples_analog();
+  const auto ppb = static_cast<std::size_t>(config.pulses_per_bit);
+  for (const int cm : {0, 3}) {
+    SCOPED_TRACE(cm);
+    TrialOptions options = default_options(Generation::kGen1);
+    options.cm = cm;
+    options.ebn0_db = std::numeric_limits<double>::infinity();
+    for (uint64_t trial = 0; trial < 2; ++trial) {
+      Gen1Link link(config, 99);
+      const Rng root(1234);
+      Rng rng_float = root.fork(trial);
+      Rng rng_reference = root.fork(trial);
+      (void)link.run_packet(options, rng_float);
+      const std::vector<float> got(link.last_capture().begin(), link.last_capture().end());
+      const reference::Gen1DenseCapture ref =
+          reference::gen1_dense_capture(link, options, rng_reference);
+      Gen1RxOptions rx_opts;
+      rx_opts.genie_timing = true;
+      rx_opts.genie_offset = ref.delay_frames * config.frame_samples_adc;
+      const std::span<const CaptureSegment> segments = link.receiver().plan_capture(
+          ref.wave.size(), config.analog_fs, link.transmitter(), ref.frame.frame_bits.size(),
+          rx_opts);
+      const std::vector<float> want = reference::pack_segments(segments, ref.wave);
+      ASSERT_EQ(got.size(), want.size()) << "the link planned another capture";
+
+      // Per sample: the link rounds each slot's amplitude, kernel tap and
+      // product to float and sums at most K = ceil(|g| / F) + 1 slots in
+      // float, so its error is at most K (K + 2) float epsilons of the
+      // largest single-slot term max|a| max|g| (the reference's double
+      // error is nine decades smaller).
+      double a_max = 0.0;
+      for (const double a : ref.amplitudes) a_max = std::max(a_max, std::abs(a));
+      double g_max = 0.0;
+      for (const double g : ref.kernel) g_max = std::max(g_max, std::abs(g));
+      const double slots = static_cast<double>(ceil_div(ref.kernel.size(), F) + 1);
+      const double tol = slots * (slots + 2.0) * FLT_EPSILON * a_max * g_max;
+      std::size_t packed = 0;
+      for (const CaptureSegment& seg : segments) {
+        for (std::size_t i = seg.begin; i < seg.end; ++i, ++packed) {
+          ASSERT_NEAR(got[packed], ref.wave[i], tol) << "capture sample " << i;
+        }
+      }
+
+      // The noiseless matched filter at each demanded output: the data
+      // section's pulses correlated with the prototype. Each must lie
+      // inside the segments and agree within 1e-5 of the largest peak --
+      // four decades below one step of the 4-bit converter.
+      const RealVec& proto = link.transmitter().prototype().samples();
+      std::vector<double> peak_float;
+      std::vector<double> peak_double;
+      double peak_max = 0.0;
+      for (std::size_t pulse = 0; pulse < ref.frame.frame_bits.size() * ppb; ++pulse) {
+        const std::size_t p =
+            (ref.delay_frames + link.transmitter().preamble_frames() + pulse) * F;
+        double pf = 0.0;
+        double pd = 0.0;
+        for (std::size_t i = 0; i < proto.size(); ++i) {
+          const std::size_t at = packed_index(segments, p + i);
+          ASSERT_LT(at, got.size()) << "pulse " << pulse << " leaves the segments";
+          pf += static_cast<double>(got[at]) * proto[i];
+          pd += ref.wave[p + i] * proto[i];
+        }
+        peak_float.push_back(pf);
+        peak_double.push_back(pd);
+        peak_max = std::max(peak_max, std::abs(pd));
+      }
+      ASSERT_GT(peak_max, 0.0);
+      for (std::size_t k = 0; k < peak_float.size(); ++k) {
+        EXPECT_NEAR(peak_float[k], peak_double[k], 1e-5 * peak_max) << "pulse " << k;
+      }
+    }
+  }
+}
+
+TEST(Gen1Reference, AcquisitionAgreesWithTheDenseReference) {
+  // An acquisition trial plans the whole capture: at 40 dB the float link
+  // and the dense reference must find the same timing. (The code phase is
+  // relative to where stage 2 starts, which the CFAR trip sets; it need not
+  // match.)
+  const Gen1Config config = sim::gen1_nominal();
+  TrialOptions options = default_options(Generation::kGen1);
+  options.kind = TrialKind::kAcquisition;
+  options.genie_timing = false;
+  options.ebn0_db = 40.0;
+  Gen1Link float_link(config, 0xACE);
+  Gen1Link reference_link(config, 0xACE);
+  Rng rng_float(5);
+  Rng rng_reference(5);
+  const Gen1Link::AcqTrial got = float_link.run_acquisition(options, rng_float, 2);
+  reference::Gen1DenseCapture ref =
+      reference::gen1_dense_capture(reference_link, options, rng_reference);
+  channel::add_awgn(ref.wave, ref.n0, rng_reference);
+  const double setpoint = reference_link.receiver().agc_setpoint(
+      ref.amplitudes, ref.kernel, 0.5 * ref.n0, ref.wave.size());
+  const Gen1AcqResult want = reference::acquire_dense(
+      reference_link.receiver(), ref.wave, reference_link.transmitter(), setpoint, rng_reference);
+  ASSERT_TRUE(got.acq.acquired);
+  ASSERT_TRUE(want.acquired);
+  EXPECT_TRUE(got.timing_correct);
+  EXPECT_EQ(got.acq.timing_offset, want.timing_offset);
+  EXPECT_EQ(got.acq.pulse_phase, want.pulse_phase);
+}
+
+TEST(Gen1Tilt, AwgnDirectionKeepsAllItsEnergyInsideTheSegments) {
+  // On AWGN a data bit's received contribution is its pulses_per_bit
+  // monocycles, each under a demanded matched-filter output, so the planned
+  // segments hold all of it: restricting the tilt direction to them drops
+  // nothing, and the renormalized direction is the unrestricted one.
+  const Gen1Config config = sim::gen1_fast();
+  const Gen1Transmitter tx(config);
+  Rng rng(0x711);
+  const Gen1Train train = tx.transmit_train(rng.bits(32));
+  const std::size_t F = config.frame_samples_analog();
+  const auto ppb = static_cast<std::size_t>(config.pulses_per_bit);
+  const std::size_t delay_frames = 5;
+  const RealVec& proto = tx.prototype().samples();
+  const std::size_t n = (delay_frames + train.amplitudes.size()) * F + proto.size() +
+                        static_cast<std::size_t>(64e-9 * config.analog_fs);
+  Rng mismatch(1);
+  Gen1Receiver receiver(config, mismatch);
+  Gen1RxOptions options;
+  options.genie_timing = true;
+  options.genie_offset = delay_frames * config.frame_samples_adc;
+  const std::span<const CaptureSegment> segments = receiver.plan_capture(
+      n, config.analog_fs, tx, train.frame.frame_bits.size(), options);
+  std::size_t covered = 0;
+  for (const CaptureSegment& seg : segments) covered += seg.size();
+  ASSERT_LT(covered, n / 10) << "the plan covers the whole capture";
+
+  const std::vector<double>& spread = tx.spread_chips();
+  std::vector<float> shape((ppb - 1) * F + proto.size(), 0.0f);
+  for (std::size_t k = 0; k < ppb; ++k) {
+    for (std::size_t i = 0; i < proto.size(); ++i) {
+      shape[k * F + i] += static_cast<float>(spread[k % spread.size()]) *
+                          static_cast<float>(proto[i]);
+    }
+  }
+  double energy = 0.0;
+  for (const float v : shape) energy += static_cast<double>(v) * v;
+  for (const std::size_t bit : {std::size_t{0}, train.frame.frame_bits.size() / 2,
+                                train.frame.frame_bits.size() - 1}) {
+    SCOPED_TRACE(bit);
+    const std::size_t offset = (delay_frames + tx.preamble_frames() + bit * ppb) * F;
+    const PackedRun run = pack_run(shape, offset, segments);
+    double kept = 0.0;
+    for (const float v : run.samples) kept += static_cast<double>(v) * v;
+    EXPECT_EQ(kept, energy);
+    EXPECT_LT(run.samples.size(), shape.size() / 4) << "the gaps between pulses were kept";
+  }
+}
+
+/// \p scenario's result document at a tiny budget on \p workers workers.
+std::string gen1_result_json(const engine::ScenarioSpec& scenario, std::size_t workers) {
+  const std::string path =
+      ::testing::TempDir() + "txrx_" + scenario.name + "_" + std::to_string(workers) + ".json";
+  engine::SweepConfig config;
+  config.seed = 0x717;
+  config.workers = workers;
+  config.stop.min_errors = 1'000'000;
+  config.stop.max_bits = 1'000'000;
+  config.stop.max_trials = 6;
+  {
+    engine::SweepEngine engine(config);
+    engine::JsonSink sink(path);
+    (void)engine.run(scenario, {&sink});
+  }
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  std::remove(path.c_str());
+  std::remove((path + ".run.json").c_str());
+  return bytes.str();
+}
+
+TEST(Gen1Tilt, Cm3TrialWeightIsFiniteAndWorkerCountIndependent) {
+  // Under CM3 the composite kernel outlasts the segments, so the direction
+  // is cut to them and renormalized: the weight stays a finite single-rung
+  // ratio, bounded by log(scale), and sweeps are byte-identical for any
+  // worker count.
+  TrialOptions options = default_options(Generation::kGen1);
+  options.cm = 3;
+  options.ebn0_db = 8.0;
+  options.sampling.mode = stats::SamplingMode::kNoiseScale;
+  Gen1Link link(sim::gen1_fast(), 3);
+  const Rng root(0x3C);
+  for (std::size_t trial = 0; trial < 4; ++trial) {
+    TrialContext context;
+    context.noise_scale = options.sampling.scale;
+    context.sampling_trial = trial;
+    context.sampling_resolved = true;
+    Rng rng = root.fork(trial);
+    const TrialResult result = link.run_packet(options, rng, context);
+    EXPECT_EQ(result.bits, 1u);
+    const std::optional<double> llr = result.metric(metric_names::kIsLlr);
+    ASSERT_TRUE(llr.has_value());
+    EXPECT_TRUE(std::isfinite(*llr)) << "trial " << trial;
+    EXPECT_LE(*llr, std::log(options.sampling.scale) + 1e-12) << "trial " << trial;
+  }
+
+  engine::ScenarioSpec scenario = engine::ScenarioRegistry::global().make("gen1_waterfall");
+  scenario.name = "gen1_cm3_tilted";
+  scenario.points.resize(2);
+  for (engine::PointSpec& point : scenario.points) {
+    point.link.options.cm = 3;
+    point.link.options.sampling.mode = stats::SamplingMode::kNoiseScale;
+  }
+  const std::string one = gen1_result_json(scenario, 1);
+  ASSERT_FALSE(one.empty());
+  EXPECT_NE(one.find("\"ess\""), std::string::npos) << "the points are not weighted";
+  EXPECT_EQ(one, gen1_result_json(scenario, 3));
 }
 
 TEST(Gen2Transmitter, FrameLayoutBpsk) {
@@ -443,7 +676,8 @@ TEST(Gen1Receiver, GenieDespreadEqualsHandDespreadOfDenseMatchedFilter) {
         EXPECT_GT(segments.size(), demanded / 2);
       }
       Rng rx_rng(1);
-      const Gen1RxResult got = receiver.receive(rx, tx, frame, options, setpoint, rx_rng);
+      const Gen1RxResult got =
+          reference::receive_dense(receiver, rx, tx, frame, options, setpoint, rx_rng);
 
       const std::vector<float> mf = dense_gen1_matched_filter(config, tx, rx, 0xAD, setpoint);
       const std::size_t F = config.frame_samples_adc;
