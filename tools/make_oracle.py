@@ -3,9 +3,12 @@
 
 An oracle table holds high-budget reference counts for every point of a
 scenario: errors and bits for BER scenarios, timing failures and attempts
-for acquisition scenarios (their trials carry one "bit" each). test_oracle
-reruns each point at a small budget under another seed and compares the
-two with an exact two-proportion test (see docs/performance.md, "The
+for acquisition scenarios (their trials carry one "bit" each). Points whose
+trials report a modeled sync time (`sync_time_s`, recorded on the trials
+that acquire) also carry its mean, its standard deviation and the number of
+those detected trials. test_oracle reruns each point at a small budget under
+another seed and compares the counts with an exact two-proportion test and
+the sync-time means with a two-sample z test (see docs/performance.md, "The
 statistical oracle").
 
 usage:
@@ -19,10 +22,23 @@ table records that command, the seed and the commit it was built from.
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
 import tempfile
+
+
+def point_entry(point):
+    """One point of the table: its counts, and the sync-time summary when
+    its trials report one."""
+    entry = {"label": point["label"], "tags": point["tags"], "errors": point["errors"],
+             "bits": point["bits"], "trials": point["trials"]}
+    sync = point.get("metrics", {}).get("sync_time_s")
+    if sync is not None:
+        entry["sync_time"] = {"mean": sync["mean"], "sd": math.sqrt(sync["variance"]),
+                              "detected": sync["count"]}
+    return entry
 
 
 def main():
@@ -47,11 +63,7 @@ def main():
         "seed": doc["seed"],
         "sha": sha,
         "stop": doc["stop"],
-        "points": [
-            {"label": p["label"], "tags": p["tags"], "errors": p["errors"],
-             "bits": p["bits"], "trials": p["trials"]}
-            for p in doc["points"]
-        ],
+        "points": [point_entry(p) for p in doc["points"]],
     }
     with open(opts.out, "w") as f:
         json.dump(table, f, indent=2)
