@@ -665,12 +665,8 @@ Gen1Link::Planned Gen1Link::synthesize_planned(const Capture& capture,
       clean.assign(under.begin(), under.end());
     }
   }
-  // One noise stream across the segments, in ascending sample order.
-  float* out = input.data();
-  for (const CaptureSegment& seg : segments) {
-    noise.add(out, seg.size());
-    out += seg.size();
-  }
+  // One noise stream over the packed segments, in ascending sample order.
+  noise.add(input.data(), input.size());
   if (tilt_bit.has_value()) {
     planned.log_weight = apply_noise_tilt<float>(input, clean, tilt, noise.variance(),
                                                   options.sampling, context.noise_scale, rng);

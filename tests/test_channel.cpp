@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <random>
@@ -275,12 +276,17 @@ class ScalarZiggurat {
   std::size_t wedges = 0;  ///< draws that reached the wedge test
   std::size_t tails = 0;   ///< draws that took the base-layer tail
 
+  /// Layer edge i and its pdf value, i in [0, 256].
+  [[nodiscard]] double x(int i) const { return x_[i]; }
+  [[nodiscard]] double y(int i) const { return y_[i]; }
+
+  static constexpr double kR = 3.6541528853610088;
+
  private:
   static double uniform01(std::mt19937_64& eng) {
     return static_cast<double>(eng() >> 11) * 0x1.0p-53;
   }
 
-  static constexpr double kR = 3.6541528853610088;
   static constexpr double kArea = 0.00492867323399;
   double x_[257];
   double y_[257];
@@ -345,6 +351,90 @@ TEST(AwgnBlocked, EveryCloneMatchesScalarLoopBytes) {
   EXPECT_GT(tails, 10u);
 }
 
+// ------------------------------------------------- float ziggurat stream ----
+// FloatAwgn runs eight xoshiro256++ lanes a block at a time in every ISA
+// clone. The reference below draws the stream one value at a time from its
+// definition in awgn.h.
+
+/// The FloatAwgn stream, serially: SplitMix64 seeds eight xoshiro256++
+/// lanes and then the rejection stream; draw m is 32-bit half m % 2 of word
+/// m / 2, which is lane (m / 2) % 8's output number m / 16; a draw that
+/// misses the one-compare accept continues on rejection-stream words only.
+class SerialFloatStream {
+ public:
+  explicit SerialFloatStream(std::uint64_t seed) {
+    for (auto& lane : lanes_) {
+      for (auto& word : lane) word = splitmix(seed);
+    }
+    for (auto& word : reject_) word = splitmix(seed);
+    for (int i = 0; i <= 256; ++i) {
+      x_[i] = static_cast<float>(zig_.x(i));
+      y_[i] = static_cast<float>(zig_.y(i));
+    }
+  }
+
+  /// The next N(0,1) draw.
+  float operator()() {
+    if (m_ % 2 == 0) word_ = xoshiro(lanes_[(m_ / 2) % 8]);
+    auto u = static_cast<std::uint32_t>(m_ % 2 == 0 ? word_ : word_ >> 32);
+    ++m_;
+    while (true) {
+      const unsigned i = u & 255u;
+      const float sign = (u & 256u) != 0 ? -1.0f : 1.0f;
+      const float cand = static_cast<float>(u >> 9) * 0x1.0p-23f * x_[i];
+      if (cand < x_[i + 1]) return sign * cand;
+      if (i == 0) {
+        ++tails;
+        double xt;
+        double yt;
+        do {
+          xt = -std::log(1.0 - uniform53()) / ScalarZiggurat::kR;
+          yt = -std::log(1.0 - uniform53());
+        } while (yt + yt < xt * xt);
+        return sign * static_cast<float>(ScalarZiggurat::kR + xt);
+      }
+      ++wedges;
+      const std::uint64_t w = xoshiro(reject_);
+      const float uy = static_cast<float>(static_cast<std::uint32_t>(w)) * 0x1.0p-32f;
+      if (y_[i] + uy * (y_[i + 1] - y_[i]) < std::exp(-0.5f * cand * cand)) return sign * cand;
+      u = static_cast<std::uint32_t>(w >> 32);  // a fresh draw replaces it
+    }
+  }
+
+  std::size_t wedges = 0;  ///< wedge tests made
+  std::size_t tails = 0;   ///< draws that took the base-layer tail
+
+ private:
+  static std::uint64_t splitmix(std::uint64_t& z) {
+    z += 0x9e3779b97f4a7c15ULL;
+    std::uint64_t t = z;
+    t = (t ^ (t >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    t = (t ^ (t >> 27)) * 0x94d049bb133111ebULL;
+    return t ^ (t >> 31);
+  }
+  static std::uint64_t rotl(std::uint64_t v, int k) { return (v << k) | (v >> (64 - k)); }
+  static std::uint64_t xoshiro(std::uint64_t (&s)[4]) {
+    const std::uint64_t result = rotl(s[0] + s[3], 23) + s[0];
+    const std::uint64_t t = s[1] << 17;
+    s[2] ^= s[0];
+    s[3] ^= s[1];
+    s[1] ^= s[2];
+    s[0] ^= s[3];
+    s[2] ^= t;
+    s[3] = rotl(s[3], 45);
+    return result;
+  }
+  double uniform53() { return static_cast<double>(xoshiro(reject_) >> 11) * 0x1.0p-53; }
+
+  ScalarZiggurat zig_;
+  std::uint64_t lanes_[8][4] = {};
+  std::uint64_t reject_[4] = {};
+  float x_[257] = {};
+  float y_[257] = {};
+  std::size_t m_ = 0;       ///< draws made
+  std::uint64_t word_ = 0;  ///< the word of the last even draw
+};
+
 /// FNV-1a over a float buffer's bytes.
 std::uint64_t fnv1a(const std::vector<float>& x) {
   std::uint64_t h = 0xcbf29ce484222325ULL;
@@ -356,16 +446,119 @@ std::uint64_t fnv1a(const std::vector<float>& x) {
   return h;
 }
 
-TEST(FloatAwgn, OneSegmentKeepsTheOneCallBytes) {
-  // A gen-1 capture planned as one segment gets the noise the one-call
-  // add_awgn(float*) added before captures were synthesized in segments:
-  // the digest and the trial Rng's next word were pinned from that code.
+/// A float test input of \p n samples.
+std::vector<float> float_input(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<float> x(n);
+  for (float& v : x) v = static_cast<float>(rng.uniform(-1.0, 1.0));
+  return x;
+}
+
+TEST(FloatAwgn, EveryCloneWritesTheSerialStreamBytes) {
+  // Calls of uneven lengths, so each clone starts mid-block, runs whole
+  // blocks and leaves a partial one; 300,001 draws reach the tail.
+  const std::size_t kCalls[] = {0, 1, 16, 5, 300'001, 33, 1000, 7};
+  std::size_t n = 0;
+  for (const std::size_t c : kCalls) n += c;
+  const double n0 = 0.8;
+  const float sigma = static_cast<float>(std::sqrt(n0 / 2.0));
+  std::size_t wedges = 0;
+  std::size_t tails = 0;
+  for (const Isa isa : test::supported_isas_or_report_skips()) {
+    Rng rng(0xC10E5);
+    channel::FloatAwgn noise(n0, rng);
+    std::vector<float> x = float_input(n, 3);
+    std::size_t at = 0;
+    for (const std::size_t c : kCalls) {
+      detail::add_awgn(isa, noise, x.data() + at, c);
+      at += c;
+    }
+
+    Rng seed_rng(0xC10E5);
+    SerialFloatStream ref(seed_rng.engine()());
+    std::vector<float> want = float_input(n, 3);
+    for (float& v : want) v += sigma * ref();
+    ASSERT_EQ(test::first_byte_mismatch(x.data(), want.data(), n), n) << isa_name(isa);
+    EXPECT_EQ(rng.engine()(), seed_rng.engine()()) << "one seed word per stream";
+    wedges = ref.wedges;
+    tails = ref.tails;
+  }
+  // Enough draws that the wedge, the restart and the tail all ran.
+  EXPECT_GT(wedges, 3000u);
+  EXPECT_GT(tails, 20u);
+}
+
+TEST(FloatAwgn, AnySplitGivesTheOneCallBytes) {
+  // Draws are numbered over the stream's life, so splitting a buffer into
+  // add() calls -- odd lengths, empty calls, calls inside one block --
+  // changes no byte.
+  const std::size_t n = 20'000;
+  const std::vector<float> input = float_input(n, 11);
+  std::vector<float> whole = input;
+  Rng rng_whole(0x5E6);
+  channel::FloatAwgn(0.5, rng_whole).add(whole.data(), n);
+
+  Rng split_rng(99);
+  for (int trial = 0; trial < 20; ++trial) {
+    std::vector<float> parts = input;
+    Rng rng_parts(0x5E6);
+    channel::FloatAwgn noise(0.5, rng_parts);
+    std::size_t at = 0;
+    while (at < n) {
+      // Mostly short calls, sometimes several blocks long.
+      const int max_len = split_rng.uniform_int(0, 3) == 0 ? 200 : 20;
+      const auto len = std::min(n - at, static_cast<std::size_t>(split_rng.uniform_int(0, max_len)));
+      noise.add(parts.data() + at, len);
+      at += len;
+    }
+    ASSERT_EQ(test::first_byte_mismatch(parts.data(), whole.data(), n), n) << "split " << trial;
+  }
+}
+
+TEST(FloatAwgn, DrawsFollowTheStandardNormalLaw) {
+  // 10^7 draws at sigma = 1 (N0 = 2) from one fixed seed. Every bound is
+  // five standard errors of its statistic under N(0,1); the tail mass
+  // beyond r is what the base-layer tail alone produces.
+  const std::size_t n = 10'000'000;
+  std::vector<float> x(n, 0.0f);
+  Rng rng(20250);
+  channel::FloatAwgn noise(2.0, rng);
+  ASSERT_EQ(noise.variance(), 1.0);
+  noise.add(x.data(), n);
+  double s1 = 0.0;
+  double s2 = 0.0;
+  double s4 = 0.0;
+  std::size_t beyond_r = 0;
+  for (const float v : x) {
+    const double d = v;
+    s1 += d;
+    s2 += d * d;
+    s4 += d * d * d * d;
+    if (std::abs(d) > ScalarZiggurat::kR) ++beyond_r;
+  }
+  const auto dn = static_cast<double>(n);
+  const double mean = s1 / dn;
+  const double var = s2 / dn - mean * mean;
+  EXPECT_LT(std::abs(mean), 5.0 / std::sqrt(dn));
+  EXPECT_LT(std::abs(var - 1.0), 5.0 * std::sqrt(2.0 / dn));
+  EXPECT_LT(std::abs(s4 / dn / (var * var) - 3.0), 5.0 * std::sqrt(24.0 / dn));
+  const double p_tail = std::erfc(ScalarZiggurat::kR / std::sqrt(2.0));
+  const double expected = dn * p_tail;
+  EXPECT_LT(std::abs(static_cast<double>(beyond_r) - expected),
+            5.0 * std::sqrt(expected * (1.0 - p_tail)))
+      << beyond_r << " draws beyond r, " << expected << " expected";
+}
+
+TEST(FloatAwgn, PinnedDigestAndTheOneBufferOverload) {
+  // The stream's bytes are pinned: a change to them is a change to every
+  // gen-1 noise realization, licensed only by the oracle (docs/performance.md).
+  // add_awgn(float*) is one FloatAwgn over the buffer.
   const std::size_t n = 20'001;
   std::vector<float> x(n, 0.25f);
   Rng rng(0xF10A7);
   channel::FloatAwgn noise(0.3, rng);
   noise.add(x.data(), n);
-  EXPECT_EQ(fnv1a(x), 0x83b9d75fdd0a4c47ULL);
+  EXPECT_EQ(fnv1a(x), 0xcc867bfda2df6289ULL);
   EXPECT_EQ(rng.engine()(), 7538448562871023294ULL);
   EXPECT_DOUBLE_EQ(noise.variance(), static_cast<double>(static_cast<float>(std::sqrt(0.15))) *
                                          static_cast<float>(std::sqrt(0.15)));
@@ -376,32 +569,6 @@ TEST(FloatAwgn, OneSegmentKeepsTheOneCallBytes) {
   EXPECT_EQ(test::first_byte_mismatch(y.data(), x.data(), n), n);
 }
 
-TEST(FloatAwgn, SegmentsContinueOneStreamInOrder) {
-  // Even-length segments take consecutive word pairs, so they concatenate
-  // to one add(); an odd-length segment's last sample takes the low half of
-  // a fresh word, so the next segment starts one word on.
-  const std::size_t n = 4'000;
-  std::vector<float> whole(n, 0.0f);
-  Rng rng_whole(0x5E6);
-  channel::FloatAwgn(0.5, rng_whole).add(whole.data(), n);
-
-  std::vector<float> parts(n, 0.0f);
-  Rng rng_parts(0x5E6);
-  channel::FloatAwgn noise(0.5, rng_parts);
-  for (std::size_t at = 0; at < n; at += 500) noise.add(parts.data() + at, 500);
-  EXPECT_EQ(test::first_byte_mismatch(parts.data(), whole.data(), n), n);
-
-  std::vector<float> odd(10, 0.0f);
-  Rng rng_odd(0x5E6);
-  channel::FloatAwgn odd_noise(0.5, rng_odd);
-  odd_noise.add(odd.data(), 5);
-  odd_noise.add(odd.data() + 5, 5);
-  // No draw of these first samples falls in the ziggurat's slow path, so
-  // the words line up with the whole buffer's.
-  EXPECT_EQ(test::first_byte_mismatch(odd.data(), whole.data(), 5), 5u);
-  EXPECT_EQ(test::first_byte_mismatch(odd.data() + 5, whole.data() + 6, 4), 4u);
-  EXPECT_EQ(test::first_byte_mismatch(odd.data() + 9, whole.data() + 10, 1), 1u);
-}
 
 TEST(AwgnBlocked, PublicOverloadsMatchScalarLoopBytes) {
   const double n0 = 0.36;

@@ -30,9 +30,9 @@ namespace {
 /// (or unpinned scenario) prints the "{name, 0x...}" line to paste here.
 const std::map<std::string, std::uint64_t>& pinned_digests() {
   static const std::map<std::string, std::uint64_t> digests = {
-      {"gen1_acquisition", 0xaccdc93331fdad58ULL},
+      {"gen1_acquisition", 0xf8b2bb43dee9095dULL},
       {"gen1_sync", 0xac70559d82b1baf3ULL},
-      {"gen1_waterfall", 0x968d03d89c1aa68aULL},
+      {"gen1_waterfall", 0xae7e63298af62718ULL},
       {"gen2_adc_resolution", 0x40faaba8624dfa30ULL},
       {"gen2_backend_ladder", 0xbed3ba9865c46b5ULL},
       {"gen2_chanest_precision", 0x13a3e1287a9f2286ULL},
@@ -129,12 +129,12 @@ struct Gen1Variant {
 };
 
 const Gen1Variant kGen1Variants[] = {
-    {"cm3_fresh", [](txrx::LinkSpec& s) { s.options.cm = 3; }, 0x23b686fc30ac02b4ULL},
+    {"cm3_fresh", [](txrx::LinkSpec& s) { s.options.cm = 3; }, 0x23973367d155a91ULL},
     {"aperture_jitter",
-     [](txrx::LinkSpec& s) { s.gen1().aperture_jitter_rms_s = 2e-12; }, 0x40330e65531cb8e5ULL},
+     [](txrx::LinkSpec& s) { s.gen1().aperture_jitter_rms_s = 2e-12; }, 0xb992910d2972a79bULL},
     {"tilted",
      [](txrx::LinkSpec& s) { s.options.sampling.mode = stats::SamplingMode::kNoiseScale; },
-     0x9a23eb77177ba477ULL},
+     0x664beb0f98812b2fULL},
 };
 
 void PrintTo(const Gen1Variant& variant, std::ostream* os) { *os << variant.name; }

@@ -179,15 +179,14 @@ TEST(Oracle, Gen1AgreesWithTheReferenceTables) {
       add_p(p, "counts");
       if (const io::JsonValue* sync = reference[i].find("sync_time")) {
         const std::size_t ref_detected = sync->at("detected").as_uint64();
+        const std::size_t ref_trials = reference[i].at("trials").as_uint64();
         const sim::MetricStats* stats = rec.metrics.find(txrx::metric_names::kSyncTime);
         const std::size_t detected = stats != nullptr ? stats->count : 0;
         const double p_detected =
-            fisher_exact_p(ref_detected, reference[i].at("trials").as_uint64(), detected,
-                           rec.ber.trials);
+            fisher_exact_p(ref_detected, ref_trials, detected, rec.ber.trials);
         add_p(p_detected, "detected");
         std::printf("  %-18s %-10s sync detected %6zu / %-9zu run %6zu / %-7zu p = %.3g\n",
-                    run.table, rec.spec.label.c_str(), ref_detected,
-                    static_cast<std::size_t>(reference[i].at("trials").as_uint64()), detected,
+                    run.table, rec.spec.label.c_str(), ref_detected, ref_trials, detected,
                     rec.ber.trials, p_detected);
         if (ref_detected >= 2 && detected >= 2) {
           const double ref_mean = sync->at("mean").as_double();
