@@ -400,8 +400,8 @@ template <std::size_t kBytes, typename VI>
 /// draw, in ascending order.
 struct MissQueue {
   static constexpr std::size_t kCapacity = 256;
-  std::uint32_t at[kCapacity];
-  std::uint32_t u[kCapacity];
+  std::uint32_t at[kCapacity] = {};
+  std::uint32_t u[kCapacity] = {};
   std::size_t size = 0;
 
   /// Adds sigma * (continued draw) to x at every queued index, in order.

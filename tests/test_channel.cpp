@@ -378,11 +378,12 @@ class SerialFloatStream {
     if (m_ % 2 == 0) word_ = xoshiro(lanes_[(m_ / 2) % 8]);
     auto u = static_cast<std::uint32_t>(m_ % 2 == 0 ? word_ : word_ >> 32);
     ++m_;
-    while (true) {
+    for (bool fresh = false;; fresh = true) {
       const unsigned i = u & 255u;
       const float sign = (u & 256u) != 0 ? -1.0f : 1.0f;
       const float cand = static_cast<float>(u >> 9) * 0x1.0p-23f * x_[i];
       if (cand < x_[i + 1]) return sign * cand;
+      if (fresh) ++fresh_misses;
       if (i == 0) {
         ++tails;
         double xt;
@@ -401,8 +402,9 @@ class SerialFloatStream {
     }
   }
 
-  std::size_t wedges = 0;  ///< wedge tests made
-  std::size_t tails = 0;   ///< draws that took the base-layer tail
+  std::size_t wedges = 0;        ///< wedge tests made
+  std::size_t tails = 0;         ///< draws that took the base-layer tail
+  std::size_t fresh_misses = 0;  ///< replacement draws that missed too
 
  private:
   static std::uint64_t splitmix(std::uint64_t& z) {
@@ -464,6 +466,7 @@ TEST(FloatAwgn, EveryCloneWritesTheSerialStreamBytes) {
   const float sigma = static_cast<float>(std::sqrt(n0 / 2.0));
   std::size_t wedges = 0;
   std::size_t tails = 0;
+  std::size_t fresh_misses = 0;
   for (const Isa isa : test::supported_isas_or_report_skips()) {
     Rng rng(0xC10E5);
     channel::FloatAwgn noise(n0, rng);
@@ -482,9 +485,12 @@ TEST(FloatAwgn, EveryCloneWritesTheSerialStreamBytes) {
     EXPECT_EQ(rng.engine()(), seed_rng.engine()()) << "one seed word per stream";
     wedges = ref.wedges;
     tails = ref.tails;
+    fresh_misses = ref.fresh_misses;
   }
-  // Enough draws that the wedge, the restart and the tail all ran.
+  // Enough draws that the wedge, a replacement that misses too and the
+  // tail all ran.
   EXPECT_GT(wedges, 3000u);
+  EXPECT_GT(fresh_misses, 5u);
   EXPECT_GT(tails, 20u);
 }
 
