@@ -240,7 +240,7 @@ template <typename T>
 struct RejectStream {
   std::uint64_t* s;
   std::uint64_t next() noexcept {
-    std::uint64_t out;
+    std::uint64_t out = 0;
     xoshiro_step(out, s[0], s[1], s[2], s[3]);
     return out;
   }
@@ -610,7 +610,7 @@ namespace uwb::detail {
   }
   if (k == n) return;
   for (std::size_t l = 0; l < channel::kLanes; ++l) {
-    std::uint64_t w;
+    std::uint64_t w = 0;
     channel::xoshiro_step(w, noise.lanes_[0][l], noise.lanes_[1][l], noise.lanes_[2][l],
                           noise.lanes_[3][l]);
     noise.block_[2 * l] = static_cast<std::uint32_t>(w);
