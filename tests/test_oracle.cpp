@@ -202,7 +202,7 @@ TEST(Oracle, Gen1AgreesWithTheReferenceTables) {
   }
   EXPECT_EQ(holm_rejections(p_values, kFamilyAlpha), 0u)
       << "smallest p " << min_p << " at " << worst << " (Holm at family alpha " << kFamilyAlpha
-      << " over " << p_values.size() << " points)";
+      << " over " << p_values.size() << " p-values)";
 }
 
 }  // namespace
