@@ -69,22 +69,10 @@ std::span<const CaptureSegment> Gen1Receiver::plan_capture(std::size_t n, double
                                                            const Gen1Transmitter& tx,
                                                            std::size_t num_bits,
                                                            const Gen1RxOptions& options) {
-  // The plan is a function of these alone (the rest is fixed per receiver),
-  // so a repeated call returns the last one. The owner check catches a
-  // copied receiver, whose sampler plan still reads the original's skews.
-  const MfDemand demand = demand_for(tx, num_bits, options);
-  const std::size_t num_taps = tx.pulse_taps_adc().size();
-  if (plan_owner_ == this && n == plan_n_ && fs == plan_fs_ && num_taps == plan_taps_ &&
-      demand == plan_demand_) {
-    return ws_segments_;
-  }
-  plan_owner_ = this;
-  plan_n_ = n;
-  plan_fs_ = fs;
-  plan_taps_ = num_taps;
-  plan_demand_ = demand;
+  plan_demand_ = demand_for(tx, num_bits, options);
   sampler_plan_ = sampler_.plan_interleaved(n, fs, lane_skews_s_);
   const std::size_t n_adc = sampler_plan_.output_size();
+  const std::size_t num_taps = tx.pulse_taps_adc().size();
   plan_mf_len_ = (num_taps == 0 || n_adc < num_taps) ? 0 : n_adc - num_taps + 1;
 
   // ADC windows. The default demand is one window over the whole capture.

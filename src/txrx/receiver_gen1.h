@@ -112,8 +112,7 @@ class Gen1Receiver {
   /// disjoint segments, one per stretch of ADC windows the despreader
   /// reads with genie timing, or the single segment [0, n). The next
   /// receive() or acquire() takes the segments' samples packed back to back
-  /// in this order. Valid until the next call; a call whose n, fs, tap
-  /// count and demand match the last one's returns the last plan.
+  /// in this order. Valid until the next call.
   std::span<const CaptureSegment> plan_capture(std::size_t n, double fs,
                                                const Gen1Transmitter& tx, std::size_t num_bits,
                                                const Gen1RxOptions& options);
@@ -214,13 +213,8 @@ class Gen1Receiver {
   std::vector<float> anti_alias_reversed_;  ///< the taps in float, last first
   RealVec lane_skews_s_;  ///< static per-lane skews, built once at construction
 
-  // The last plan_capture(): its key (the receiver it was made on, n, fs,
-  // the matched filter's taps and the demand), sampler set-up, segments,
-  // filter runs and windows, and the sizes of the packed arenas they fill.
-  const Gen1Receiver* plan_owner_ = nullptr;
-  std::size_t plan_n_ = 0;
-  double plan_fs_ = 0.0;
-  std::size_t plan_taps_ = 0;
+  // The last plan_capture(): its demand, sampler set-up, segments, filter
+  // runs and windows, and the sizes of the packed arenas they fill.
   MfDemand plan_demand_;
   adc::InterleavedPlan sampler_plan_;
   std::vector<CaptureSegment> ws_segments_;
