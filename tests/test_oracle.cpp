@@ -3,16 +3,16 @@
 // rerun of every point at a small budget under another seed. Each point's
 // counts -- bit errors over bits, or timing failures over acquisition
 // attempts -- are compared with Fisher's exact two-proportion test. Where
-// the table carries the modeled sync time (acquisition trials), its mean
-// over the detected trials is compared with a two-sample z test on Welch's
-// unpooled standard error, and the detected count over the trials with
-// Fisher's test. Every p-value joins one family, tested with Holm's
-// step-down at kFamilyAlpha. A change
+// the table carries the modeled sync time (acquisition trials), the detected
+// count over the trials is compared with Fisher's test too. Every p-value
+// joins one family, tested with Holm's step-down at kFamilyAlpha. A change
 // that keeps the experiment (same law, different rounding or noise
 // realization) passes; one that moves Eb/N0 by half a dB fails (see
 // docs/performance.md, "The statistical oracle", for the measured power).
 // Runs are deterministic, so the test cannot flake; a re-pin that flips a
-// marginal point is what the family alpha accounts for.
+// marginal point is what the family alpha accounts for. The sync time's
+// mean is not a test in the family: the model makes it the same on every
+// detected trial of a point, so it is checked for equality.
 
 #include <gtest/gtest.h>
 
@@ -34,6 +34,10 @@ namespace {
 
 /// Family-wise error rate over every point of every table.
 constexpr double kFamilyAlpha = 0.01;
+
+/// Relative tolerance of the sync-time equality check: room for the
+/// rounding of the two runs' sums, far below one frame (0.5% of a lock).
+constexpr double kSyncTimeRelTol = 1e-9;
 
 /// The rerun seed; each table's reference seed must differ from it.
 constexpr std::uint64_t kTestSeed = 7;
@@ -87,20 +91,6 @@ double fisher_exact_p(std::size_t e1, std::size_t n1, std::size_t e2, std::size_
   return std::min(p, 1.0);
 }
 
-/// Two-sided p-value of the two-sample z test of equal means, from each
-/// sample's mean, standard deviation and size, on Welch's unpooled standard
-/// error. The error is floored at 1e-9 of the larger mean: a metric that is
-/// constant within a point (the modeled sync time mostly is) has a zero
-/// standard deviation, and its two means then differ only by the rounding
-/// of their sums.
-double welch_z_p(double m1, double s1, std::size_t n1, double m2, double s2, std::size_t n2) {
-  const double se = std::max(std::sqrt(s1 * s1 / static_cast<double>(n1) +
-                                       s2 * s2 / static_cast<double>(n2)),
-                             1e-9 * std::max(std::abs(m1), std::abs(m2)));
-  if (se == 0.0) return 1.0;  // both means are 0
-  return std::erfc(std::abs(m1 - m2) / se / std::sqrt(2.0));
-}
-
 /// Holm's step-down: how many of \p p_values are rejected at family-wise
 /// error rate \p alpha.
 std::size_t holm_rejections(std::vector<double> p_values, double alpha) {
@@ -120,16 +110,6 @@ TEST(Oracle, FisherExactMatchesKnownValues) {
   EXPECT_NEAR(fisher_exact_p(0, 1000, 0, 10), 1.0, 1e-12);
   // 10/10 vs 0/10: only the two extreme tables, each 1 / C(20, 10).
   EXPECT_NEAR(fisher_exact_p(10, 10, 0, 10), 2.0 / 184756.0, 1e-15);
-}
-
-TEST(Oracle, WelchZMatchesTheNormalTail) {
-  // z = 1.96 -> p = 0.05; z = 0 -> p = 1.
-  EXPECT_NEAR(welch_z_p(1.96, 1.0, 2, 0.0, 1.0, 2), 0.05, 1e-4);
-  EXPECT_NEAR(welch_z_p(3.0, 2.0, 100, 3.0, 0.5, 10), 1.0, 1e-12);
-  // Constant samples: equal up to rounding pass, a real shift fails.
-  EXPECT_GT(welch_z_p(6.7392e-05, 0.0, 1000, 6.739199999999997e-05, 0.0, 50), 0.9);
-  EXPECT_LT(welch_z_p(6.7392e-05, 0.0, 1000, 6.7393e-05, 0.0, 50), 1e-12);
-  EXPECT_EQ(welch_z_p(0.0, 0.0, 5, 0.0, 0.0, 5), 1.0);
 }
 
 TEST(Oracle, HolmStepsDownFromTheSmallestP) {
@@ -188,14 +168,12 @@ TEST(Oracle, Gen1AgreesWithTheReferenceTables) {
         std::printf("  %-18s %-10s sync detected %6zu / %-9zu run %6zu / %-7zu p = %.3g\n",
                     run.table, rec.spec.label.c_str(), ref_detected, ref_trials, detected,
                     rec.ber.trials, p_detected);
-        if (ref_detected >= 2 && detected >= 2) {
+        if (detected > 0) {
           const double ref_mean = sync->at("mean").as_double();
-          const double p_mean =
-              welch_z_p(ref_mean, sync->at("sd").as_double(), ref_detected, stats->mean(),
-                        std::sqrt(stats->variance()), detected);
-          add_p(p_mean, "sync_time mean");
-          std::printf("  %-18s %-10s sync mean %10.4g s     run %10.4g s      p = %.3g\n",
-                      run.table, rec.spec.label.c_str(), ref_mean, stats->mean(), p_mean);
+          std::printf("  %-18s %-10s sync mean %10.6g s     run %10.6g s\n", run.table,
+                      rec.spec.label.c_str(), ref_mean, stats->mean());
+          EXPECT_NEAR(stats->mean(), ref_mean, kSyncTimeRelTol * ref_mean)
+              << "sync_time mean at point " << rec.spec.label;
         }
       }
     }

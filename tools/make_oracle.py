@@ -7,8 +7,9 @@ for acquisition scenarios (their trials carry one "bit" each). Points whose
 trials report a modeled sync time (`sync_time_s`, recorded on the trials
 that acquire) also carry its mean, its standard deviation and the number of
 those detected trials. test_oracle reruns each point at a small budget under
-another seed and compares the counts with an exact two-proportion test and
-the sync-time means with a two-sample z test (see docs/performance.md, "The
+another seed, compares the counts and the detected counts with an exact
+two-proportion test and checks that the sync-time mean is unchanged (the
+model makes it constant within a point; see docs/performance.md, "The
 statistical oracle").
 
 usage:
